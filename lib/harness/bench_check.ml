@@ -8,8 +8,9 @@
    VM-throughput artifact — that both execution engines are recorded
    along with the baseline block and the speedup summary.  The serve
    artifact additionally pins the width matrix (jobs/sec and latency
-   percentiles per domain count).  `make bench-check` (part of `make
-   verify`) fails on any violation. *)
+   percentiles per domain count).  Across files, the cells the elim,
+   breakdown and schemes artifacts share must carry the same numbers.
+   `make bench-check` (part of `make verify`) fails on any violation. *)
 
 open Json
 
@@ -349,27 +350,105 @@ let targets =
     ("BENCH_memory.json", check_memory);
   ]
 
+(* Cross-artifact invariants.  The elim, breakdown and schemes
+   experiments each simulate the same (kernel, configuration) cells, so
+   wherever the committed files overlap they must agree: a file
+   regenerated after an accounting change while another was not shows
+   up here, even though each still passes its own schema check. *)
+let check_cross docs =
+  let doc f = List.assoc_opt f docs in
+  let by_name obj k =
+    match field obj k with
+    | Some (List rows) ->
+        List.filter_map
+          (fun r ->
+            match field r "name" with Some (Str n) -> Some (n, r) | _ -> None)
+          rows
+    | _ -> []
+  in
+  let num_at obj path =
+    match
+      List.fold_left (fun o k -> Option.bind o (fun o -> field o k))
+        (Some obj) path
+    with
+    | Some (Num n) -> Some n
+    | _ -> None
+  in
+  match
+    (doc "BENCH_breakdown.json", doc "BENCH_elim.json", doc "BENCH_schemes.json")
+  with
+  | Some bd, Some el, Some sc ->
+      let elim = by_name el "kernels" and schemes = by_name sc "workloads" in
+      List.iter
+        (fun (name, b) ->
+          match (List.assoc_opt name elim, List.assoc_opt name schemes) with
+          | Some e, Some s ->
+              let agree what (pb, pe, ps) =
+                let cells =
+                  [
+                    ("breakdown", num_at b pb); ("elim", num_at e pe);
+                    ("schemes", num_at s ps);
+                  ]
+                in
+                match List.map snd cells with
+                | Some v :: rest when List.for_all (( = ) (Some v)) rest -> ()
+                | _ ->
+                    bad "cross-artifact"
+                      (Printf.sprintf "%s: %s disagrees (%s)" name what
+                         (String.concat ", "
+                            (List.map
+                               (fun (f, v) ->
+                                 f ^ " "
+                                 ^ Option.fold ~none:"missing"
+                                     ~some:Json.number_string v)
+                               cells)))
+              in
+              agree "base_cycles"
+                ([ "base_cycles" ], [ "base_cycles" ], [ "base_cycles" ]);
+              agree "shadow/full cycles"
+                ( [ "configs"; "shadow-full-elim"; "cycles" ],
+                  [ "shadow_full"; "on" ],
+                  [ "schemes"; "softbound-full-shadow"; "cycles" ] );
+              agree "shadow/store cycles"
+                ( [ "configs"; "shadow-store-elim"; "cycles" ],
+                  [ "shadow_store"; "on" ],
+                  [ "schemes"; "softbound-store-shadow"; "cycles" ] )
+          | _ ->
+              bad "cross-artifact"
+                (name ^ ": in breakdown but missing from elim or schemes"))
+        (by_name bd "workloads")
+  | _ -> () (* an unreadable file is already reported *)
+
 (** Validate every committed benchmark artifact; returns the report and
     whether all checks passed. *)
 let run () : string * bool =
   errs := [];
-  List.iter
-    (fun (file, check) ->
-      match read_file file with
-      | exception Sys_error m -> bad file ("unreadable: " ^ m)
-      | text -> (
-          match parse text with
-          | exception Bad m -> bad file ("malformed JSON: " ^ m)
-          | obj ->
-              (* every artifact records the host parallelism it was
-                 produced with — the context for any wall-clock or
-                 jobs-scaling figure in it *)
-              require_num file obj "host_cpus";
-              check file obj))
-    targets;
+  let docs =
+    List.filter_map
+      (fun (file, check) ->
+        match read_file file with
+        | exception Sys_error m ->
+            bad file ("unreadable: " ^ m);
+            None
+        | text -> (
+            match parse text with
+            | exception Bad m ->
+                bad file ("malformed JSON: " ^ m);
+                None
+            | obj ->
+                (* every artifact records the host parallelism it was
+                   produced with — the context for any wall-clock or
+                   jobs-scaling figure in it *)
+                require_num file obj "host_cpus";
+                check file obj;
+                Some (file, obj)))
+      targets
+  in
+  check_cross docs;
   match List.rev !errs with
   | [] ->
-      ( Printf.sprintf "bench-check: %d artifacts OK (%s)"
+      ( Printf.sprintf
+          "bench-check: %d artifacts OK (%s); elim/breakdown/schemes agree"
           (List.length targets)
           (String.concat ", " (List.map fst targets)),
         true )
