@@ -81,9 +81,9 @@ adversarial-smoke:
 	@echo "adversarial-smoke: no escapes, jobs-independent"
 
 # the checking service end to end, through the real binary: a fixed
-# mixed job stream (ok runs, a trap, a baseline scheme, fuzz,
-# adversarial, profile, an unknown type, a garbage line) served at
-# --jobs 1 and --jobs 2.  Result rows are compared modulo the "ms"
+# mixed job stream (ok runs, a trap, the unprotected and a registry
+# scheme, fuzz, adversarial, profile, an unknown type, a garbage line)
+# served at --jobs 1 and --jobs 2.  Result rows are compared modulo the "ms"
 # timing field and delivery order (completion order is nondeterministic
 # under jobs>=2) — everything else must be byte-identical.
 serve-smoke:
@@ -95,6 +95,7 @@ serve-smoke:
 	  '{"id":5,"type":"adversarial","seed":3,"count":1}' \
 	  '{"id":6,"type":"profile","source":"int main() { int a[8]; int i; for (i = 0; i < 8; i = i + 1) a[i] = i; return a[7]; }"}' \
 	  '{"id":7,"type":"bad-type"}' \
+	  '{"id":8,"type":"run","source":"int main() { int a[4]; a[1] = 3; return a[1]; }","scheme":"cguard"}' \
 	  'garbage line' \
 	  > /tmp/serve_jobs.ndjson
 	dune exec bin/softbound_cli.exe -- serve < /tmp/serve_jobs.ndjson \
@@ -106,6 +107,7 @@ serve-smoke:
 	grep -q '"outcome":"exit 5"' /tmp/serve1.txt
 	grep -q 'bounds violation' /tmp/serve1.txt
 	grep -q '"scheme":"unprotected"' /tmp/serve1.txt
+	grep -q '"scheme":"cguard"' /tmp/serve1.txt
 	grep -q '"error":"unknown job type' /tmp/serve1.txt
 	grep -q 'malformed JSON' /tmp/serve1.txt
 	grep -q '"type":"profile","ok":true' /tmp/serve1.txt

@@ -6,7 +6,7 @@
 
      softbound run prog.c --mode=full --facility=shadow -- arg1 arg2
      softbound run prog.c --unprotected
-     softbound run prog.c --checker=mudflap
+     softbound run prog.c --checker=mudflap-like
      softbound dump-ir prog.c [--instrumented]
      softbound check prog.c            # exit 0 iff no violation  *)
 
@@ -38,12 +38,7 @@ let mode_arg =
 let facility_arg =
   Arg.(
     value
-    & opt (enum [ ("shadow", Softbound.Shadow_space);
-                  ("hash", Softbound.Hash_table);
-                  ("obj-header", Softbound.Obj_header);
-                  ("frame-tag", Softbound.Frame_tag);
-                  ("wide-inline", Softbound.Wide_inline) ])
-        Softbound.Shadow_space
+    & opt (enum Softbound.Config.facility_inputs) Softbound.Config.Shadow_space
     & info [ "facility" ] ~docv:"F"
         ~doc:
           "Metadata organization: $(b,shadow), $(b,hash), or a \
@@ -58,13 +53,15 @@ let unprotected_arg =
 let checker_arg =
   Arg.(
     value
-    & opt (some (enum [ ("jones-kelly", `Jk); ("memcheck", `Mc);
-                        ("mudflap", `Mf); ("mscc", `Mscc) ]))
+    & opt
+        (some (enum (List.map (fun e -> (e.Schemes.sname, e)) (Schemes.all ()))))
         None
-    & info [ "checker" ] ~docv:"TOOL"
+    & info [ "checker" ] ~docv:"SCHEME"
         ~doc:
-          "Run under a baseline tool instead of SoftBound: \
-           $(b,jones-kelly), $(b,memcheck), $(b,mudflap) or $(b,mscc).")
+          (Printf.sprintf
+             "Run under a registered scheme instead of SoftBound: %s."
+             (String.concat ", "
+                (List.map (Printf.sprintf "$(b,%s)") (Schemes.names ())))))
 
 let no_shrink_arg =
   Arg.(
@@ -160,10 +157,7 @@ let scheme_of unprotected checker mode facility no_shrink fptr_sigs no_elim
   if unprotected then Harness.Runner.Unprotected
   else
     match checker with
-    | Some `Jk -> Harness.Runner.Jones_kelly
-    | Some `Mc -> Harness.Runner.Memcheck
-    | Some `Mf -> Harness.Runner.Mudflap
-    | Some `Mscc -> Harness.Runner.Mscc
+    | Some e -> Harness.Runner.Scheme e
     | None ->
         Harness.Runner.Softbound
           (opts_of ~fptr_sigs ~no_elim ~no_widen mode facility no_shrink)

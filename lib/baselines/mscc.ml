@@ -28,8 +28,3 @@ let options : Softbound.Config.options =
     eliminate_checks = false;
     widen_checks = false;
   }
-
-(** Run a module under the MSCC-style transformation. *)
-let run ?(cfg = Interp.State.default_config) (m : Sbir.Ir.modul) :
-    Interp.Vm.result =
-  Softbound.run_protected ~opts:options ~cfg m

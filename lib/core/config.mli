@@ -9,16 +9,10 @@
     write) at a much lower overhead. *)
 type mode = Full_checking | Store_only
 
-(** Metadata organization.  [Hash_table] (open-addressing, 24-byte
-    tagged entries, ~9 x86 instructions per lookup) and [Shadow_space]
-    (tag-less, 16 bytes per pointer-aligned word, ~5 instructions) are
-    the paper's two organizations (section 5.1).  The other three model
-    the related-work schemes' metadata placements (see {!Schemes}):
-    [Obj_header] is a CGuard-style 16-byte header just before the
-    object, [Frame_tag] a FRAMER-style frame tag carried in the
-    pointer's top byte, [Wide_inline] an L4-Pointer-style 128-bit wide
-    pointer with inline base/bound. *)
-type facility =
+(** Metadata organization: {!Interp.State.meta_facility}, which
+    documents the paper's two organizations (section 5.1) and the three
+    related-work placements. *)
+type facility = Interp.State.meta_facility =
   | Hash_table
   | Shadow_space
   | Obj_header
@@ -70,6 +64,12 @@ val store_only : options
 (** [default] with [mode = Store_only]. *)
 
 val facility_name : facility -> string
+
+val facility_inputs : (string * facility) list
+(** Input spelling of every facility ([shadow], [hash], [obj-header],
+    [frame-tag], [wide-inline]), shared by the CLI's [--facility] and
+    the serve protocol's [facility] field. *)
+
 val mode_name : mode -> string
 
 (** Execution engine for the simulated machine (re-export of

@@ -16,12 +16,6 @@ module Transform = Transform
 module Elim = Elim
 
 type mode = Config.mode = Full_checking | Store_only
-type facility = Config.facility =
-  | Hash_table
-  | Shadow_space
-  | Obj_header
-  | Frame_tag
-  | Wide_inline
 type options = Config.options
 
 let default_options = Config.default
@@ -47,12 +41,20 @@ let instrument_with_sites ?(opts = Config.default) (m : Ir.modul) :
     Ir.modul * int =
   Transform.transform_with_sites ~opts m
 
-let facility_of = function
-  | Config.Hash_table -> Interp.State.Hash_table
-  | Config.Shadow_space -> Interp.State.Shadow_space
-  | Config.Obj_header -> Interp.State.Obj_header
-  | Config.Frame_tag -> Interp.State.Frame_tag
-  | Config.Wide_inline -> Interp.State.Wide_inline
+(* [Config.facility] is [Interp.State.meta_facility]; this identity is
+   kept only because the frozen benchmark driver (perfbench/stages.ml)
+   still calls it.  Use {!vm_config}. *)
+let facility_of : Config.facility -> Interp.State.meta_facility = Fun.id
+
+(** The VM configuration a run of code instrumented under [opts] needs:
+    [cfg] with the metadata facility and the checking mode set. *)
+let vm_config ?(cfg = Interp.State.default_config) (opts : options) :
+    Interp.State.config =
+  {
+    cfg with
+    Interp.State.meta = Some opts.Config.facility;
+    store_only = opts.Config.mode = Config.Store_only;
+  }
 
 (** Run an *uninstrumented* module (the baseline the paper normalizes
     against). *)
@@ -63,15 +65,7 @@ let run_unprotected ?(cfg = Interp.State.default_config) (m : Ir.modul) :
 (** Instrument and run under SoftBound. *)
 let run_protected ?(opts = Config.default)
     ?(cfg = Interp.State.default_config) (m : Ir.modul) : Interp.Vm.result =
-  let m' = instrument ~opts m in
-  let cfg =
-    {
-      cfg with
-      Interp.State.meta = Some (facility_of opts.Config.facility);
-      store_only = opts.Config.mode = Config.Store_only;
-    }
-  in
-  Interp.Engine.run ~cfg m'
+  Interp.Engine.run ~cfg:(vm_config ~cfg opts) (instrument ~opts m)
 
 (** Convenience: compile a source and run it under SoftBound. *)
 let check_source ?(opts = Config.default)

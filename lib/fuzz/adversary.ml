@@ -60,10 +60,8 @@ module L = Machine.Layout
 (* Scenario space                                                       *)
 (* ------------------------------------------------------------------ *)
 
-type facility = Shadow | Hash
-
 type params = {
-  facility : facility;
+  facility : St.meta_facility;  (** [Shadow_space] or [Hash_table] *)
   ht_init : int;  (** initial hash-table entries (exercises resize) *)
   hole : int;  (** freed-then-recycled granule size, multiple of 16 *)
   sec : int;  (** protected secret buffer size *)
@@ -184,7 +182,7 @@ let protected_source (p : params) : string =
    domains. *)
 let memo_lock = Mutex.create ()
 let compiled : (string, Sbir.Ir.modul) Hashtbl.t = Hashtbl.create 16
-let instrumented : (string * facility, Sbir.Ir.modul) Hashtbl.t =
+let instrumented : (string * St.meta_facility, Sbir.Ir.modul) Hashtbl.t =
   Hashtbl.create 16
 
 let memo tbl key f =
@@ -204,16 +202,9 @@ let instrumented_module (p : params) : Sbir.Ir.modul =
   let src = protected_source p in
   let m = memo compiled src (fun () -> Softbound.compile src) in
   memo instrumented (src, p.facility) (fun () ->
-      let opts =
-        {
-          Softbound.Config.default with
-          Softbound.Config.facility =
-            (match p.facility with
-            | Shadow -> Softbound.Config.Shadow_space
-            | Hash -> Softbound.Config.Hash_table);
-        }
-      in
-      Softbound.instrument ~opts m)
+      Softbound.instrument
+        ~opts:{ Softbound.Config.default with facility = p.facility }
+        m)
 
 (* ------------------------------------------------------------------ *)
 (* One run of a scenario                                                *)
@@ -249,17 +240,12 @@ let setup (p : params) ~(secret : string) : ctx =
   let cfg =
     {
       St.default_config with
-      St.meta =
-        Some
-          (match p.facility with
-          | Shadow -> St.Shadow_space
-          | Hash -> St.Hash_table);
+      St.meta = Some p.facility;
       store_only = false;
       inputs = [ secret ];
       ht_entries_init =
-        (match p.facility with
-        | Hash -> p.ht_init
-        | Shadow -> St.default_config.St.ht_entries_init);
+        (if p.facility = St.Hash_table then p.ht_init
+         else St.default_config.St.ht_entries_init);
       max_steps = 50_000_000;
     }
   in
@@ -402,6 +388,12 @@ let show_rets (rets : St.value list) : string =
        (function St.VI v -> string_of_int v | St.VF f -> string_of_float f)
        rets)
 
+(* where the facility keeps metadata: the start of the hash table, or
+   the protected pointer array's shadow *)
+let meta_addr ctx =
+  if ctx.p.facility = St.Hash_table then L.hashtable_base
+  else L.shadow_addr ctx.parr
+
 (** Execute one action, returning the attacker-visible observation.
     Raises [St.Trap] / [Mem.Segfault] when the machine stops it. *)
 let perform (ctx : ctx) (a : action) : string =
@@ -413,10 +405,7 @@ let perform (ctx : ctx) (a : action) : string =
     | T_secret -> ctx.psec
     | T_parr -> ctx.parr
     | T_block i -> ctx.blocks.(i mod ctx.p.nslots)
-    | T_meta -> (
-        match ctx.p.facility with
-        | Hash -> L.hashtable_base
-        | Shadow -> L.shadow_addr ctx.parr)
+    | T_meta -> meta_addr ctx
   in
   match a with
   | A_fill nuls ->
@@ -475,11 +464,7 @@ let perform (ctx : ctx) (a : action) : string =
   | A_meta_write ->
       (* what a compiled store executes: segment validity, then the
          write — segment isolation must segfault it *)
-      let addr =
-        match ctx.p.facility with
-        | Hash -> L.hashtable_base
-        | Shadow -> L.shadow_addr ctx.parr
-      in
+      let addr = meta_addr ctx in
       Mem.check_program_access st.St.mem addr 8;
       Mem.write_int st.St.mem addr 8 0;
       "meta overwritten"
@@ -569,7 +554,7 @@ let eval_scenario (sc : scenario) : action_result list =
 
 let gen_params (r : Rng.t) : params =
   {
-    facility = (if Rng.bool r then Shadow else Hash);
+    facility = (if Rng.bool r then St.Shadow_space else St.Hash_table);
     ht_init = Rng.pick r [ 8; 64 ];
     hole = Rng.pick r [ 32; 48; 64 ];
     sec = 16 * Rng.range r 2 4;
@@ -628,7 +613,7 @@ let scenario_of ~seed ~index : scenario =
    they are the committed adversarial regression seeds. *)
 let regressions : scenario list =
   let p =
-    { facility = Shadow; ht_init = 64; hole = 32; sec = 48; nslots = 6;
+    { facility = St.Shadow_space; ht_init = 64; hole = 32; sec = 48; nslots = 6;
       bsz = 24 }
   in
   [
@@ -646,7 +631,7 @@ let regressions : scenario list =
     (* pre-fix: the protected component's own overlapping memmove
        corrupts slot metadata (forward in-place copy), detected as
        metadata incoherence and as blame traps in [rotget] *)
-    { name = "memmove-meta"; sp = { p with facility = Hash; ht_init = 8 };
+    { name = "memmove-meta"; sp = { p with facility = St.Hash_table; ht_init = 8 };
       acts = [ A_shift 1; A_rotget 2; A_shift 2; A_rotget 5 ] };
     (* pre-fix (harness-discovered): free accepted a forged pointer and
        retired the protected secret's block trap-free *)

@@ -35,9 +35,9 @@ let run_one ?(quick = false) (w : Workloads.workload) : row =
     shadow_full = ov Runner.sb_full_shadow;
     hash_store = ov Runner.sb_store_hash;
     shadow_store = ov Runner.sb_store_shadow;
-    cguard = ovs Runner.Cguard;
-    framer = ovs Runner.Framer;
-    l4_pointer = ovs Runner.L4_pointer;
+    cguard = ovs (Runner.registered "cguard");
+    framer = ovs (Runner.registered "framer");
+    l4_pointer = ovs (Runner.registered "l4-pointer");
   }
 
 let run ?(quick = false) () : row list =

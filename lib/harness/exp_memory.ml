@@ -37,15 +37,9 @@ let run_one ?(quick = true) (w : Workloads.workload) : row =
   let base = Runner.run ~argv Runner.Unprotected m in
   let hash = Runner.run ~argv (Runner.Softbound Runner.sb_full_hash) m in
   let shadow = Runner.run ~argv (Runner.Softbound Runner.sb_full_shadow) m in
-  let cguard =
-    Runner.run ~argv (Runner.Softbound (Schemes.Cguard.options ())) m
-  in
-  let framer =
-    Runner.run ~argv (Runner.Softbound (Schemes.Framer.options ())) m
-  in
-  let l4 =
-    Runner.run ~argv (Runner.Softbound (Schemes.L4_pointer.options ())) m
-  in
+  let scheme name = Runner.run ~argv (Runner.registered name) m in
+  let cguard = scheme "cguard" and framer = scheme "framer" in
+  let l4 = scheme "l4-pointer" in
   {
     workload = w;
     base_resident = base.resident_bytes;

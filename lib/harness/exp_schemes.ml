@@ -15,19 +15,12 @@
 
 module S = Interp.State
 
-(** The matrix's scheme axis, in fixed report order. *)
+(** The matrix's scheme axis, in fixed report order: the two SoftBound
+    reference configurations, then the registry in its own order. *)
 let schemes : (string * Runner.scheme) list =
-  [
-    ("softbound-full-shadow", Runner.Softbound Runner.sb_full_shadow);
-    ("softbound-store-shadow", Runner.Softbound Runner.sb_store_shadow);
-    ("mscc", Runner.Mscc);
-    ("cguard", Runner.Cguard);
-    ("framer", Runner.Framer);
-    ("l4-pointer", Runner.L4_pointer);
-    ("jones-kelly", Runner.Jones_kelly);
-    ("memcheck-like", Runner.Memcheck);
-    ("mudflap-like", Runner.Mudflap);
-  ]
+  ("softbound-full-shadow", Runner.Softbound Runner.sb_full_shadow)
+  :: ("softbound-store-shadow", Runner.Softbound Runner.sb_store_shadow)
+  :: List.map (fun e -> (e.Schemes.sname, Runner.Scheme e)) (Schemes.all ())
 
 type srow = {
   sname : string;

@@ -111,8 +111,8 @@ let probe_scheme (s : Runner.scheme) =
   (complete, casts, layout)
 
 let run () : row list =
-  let jk_complete, jk_casts, jk_layout = probe_scheme Runner.Jones_kelly in
-  let mscc_complete, _, mscc_layout = probe_scheme Runner.Mscc in
+  let jk_complete, jk_casts, jk_layout = probe_scheme (Runner.registered "jones-kelly") in
+  let mscc_complete, _, mscc_layout = probe_scheme (Runner.registered "mscc") in
   let sb_complete, sb_casts, sb_layout =
     probe_scheme (Runner.Softbound Runner.sb_full_shadow)
   in

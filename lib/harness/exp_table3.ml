@@ -33,9 +33,9 @@ let run_one (a : Attacks.Wilander.attack) : row =
     detected_full = Runner.detected (v (Runner.Softbound Runner.sb_full_shadow));
     detected_store_only =
       Runner.detected (v (Runner.Softbound Runner.sb_store_shadow));
-    detected_jk = stopped (v Runner.Jones_kelly);
-    detected_memcheck = stopped (v Runner.Memcheck);
-    detected_mudflap = stopped (v Runner.Mudflap);
+    detected_jk = stopped (v (Runner.registered "jones-kelly"));
+    detected_memcheck = stopped (v (Runner.registered "memcheck-like"));
+    detected_mudflap = stopped (v (Runner.registered "mudflap-like"));
   }
 
 let run () : row list = List.map run_one Attacks.Wilander.all

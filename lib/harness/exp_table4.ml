@@ -24,8 +24,8 @@ let run_one (p : Attacks.Bugbench.program) : row =
   let un = Runner.verdict_of (Runner.run Runner.Unprotected m) in
   {
     program = p;
-    valgrind = d Runner.Memcheck;
-    mudflap = d Runner.Mudflap;
+    valgrind = d (Runner.registered "memcheck-like");
+    mudflap = d (Runner.registered "mudflap-like");
     sb_store = d (Runner.Softbound Runner.sb_store_shadow);
     sb_full = d (Runner.Softbound Runner.sb_full_shadow);
     runs_clean_unprotected =

@@ -30,14 +30,7 @@ let profile ?(label = "program") ?(opts = Softbound.Config.default)
   let m', sites_assigned = Runner.instrument_cached ~opts m in
   let cfg = { cfg with S.argv; inputs; obs_enabled = true } in
   let base = if with_baseline then Some (Interp.Engine.run ~cfg m) else None in
-  let run_cfg =
-    {
-      cfg with
-      S.meta = Some (Softbound.facility_of opts.Softbound.Config.facility);
-      store_only = opts.Softbound.Config.mode = Softbound.Config.Store_only;
-    }
-  in
-  let result = Interp.Engine.run ~cfg:run_cfg m' in
+  let result = Interp.Engine.run ~cfg:(Softbound.vm_config ~cfg opts) m' in
   let widened = ref 0 and coalesced = ref 0 in
   Ir.iter_funcs m' (fun f ->
       widened := !widened + Softbound.Elim.count_widened f;

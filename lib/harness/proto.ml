@@ -111,9 +111,13 @@ let scheme_of_fields v : Runner.scheme =
   in
   let facility =
     match opt_str v "facility" with
-    | None | Some "shadow" -> Softbound.Config.Shadow_space
-    | Some "hash" -> Softbound.Config.Hash_table
-    | Some f -> reject "unknown facility %S (shadow|hash)" f
+    | None -> Softbound.Config.Shadow_space
+    | Some f -> (
+        match List.assoc_opt f Softbound.Config.facility_inputs with
+        | Some f -> f
+        | None ->
+            reject "unknown facility %S (%s)" f
+              (String.concat "|" (List.map fst Softbound.Config.facility_inputs)))
   in
   let no_elim = Option.value (opt_bool v "no_elim") ~default:false in
   match opt_str v "scheme" with
@@ -126,14 +130,13 @@ let scheme_of_fields v : Runner.scheme =
           eliminate_checks = not no_elim;
         }
   | Some "unprotected" -> Runner.Unprotected
-  | Some "jones-kelly" -> Runner.Jones_kelly
-  | Some "memcheck" -> Runner.Memcheck
-  | Some "mudflap" -> Runner.Mudflap
-  | Some "mscc" -> Runner.Mscc
-  | Some s ->
-      reject
-        "unknown scheme %S (softbound|unprotected|jones-kelly|memcheck|mudflap|mscc)"
-        s
+  | Some s -> (
+      match Schemes.find s with
+      | Some e -> Runner.Scheme e
+      | None ->
+          reject "unknown scheme %S (%s)" s
+            (String.concat "|"
+               ("softbound" :: "unprotected" :: Schemes.names ())))
 
 let engine_of_fields v : Interp.State.engine =
   match opt_str v "engine" with

@@ -6,13 +6,7 @@ module Ir = Sbir.Ir
 type scheme =
   | Unprotected
   | Softbound of Softbound.Config.options
-  | Jones_kelly
-  | Memcheck
-  | Mudflap
-  | Mscc
-  | Cguard
-  | Framer
-  | L4_pointer
+  | Scheme of Schemes.entry  (** a registry scheme, see {!Schemes.all} *)
 
 let scheme_name = function
   | Unprotected -> "unprotected"
@@ -20,13 +14,10 @@ let scheme_name = function
       Printf.sprintf "softbound-%s-%s"
         (Softbound.Config.mode_name o.Softbound.Config.mode)
         (Softbound.Config.facility_name o.Softbound.Config.facility)
-  | Jones_kelly -> "jones-kelly"
-  | Memcheck -> "memcheck-like"
-  | Mudflap -> "mudflap-like"
-  | Mscc -> "mscc-like"
-  | Cguard -> "cguard"
-  | Framer -> "framer"
-  | L4_pointer -> "l4-pointer"
+  | Scheme e -> e.Schemes.sname
+
+(** The registry scheme named [name]; see {!Schemes.names}. *)
+let registered name = Scheme (Schemes.get name)
 
 (* The four SoftBound configurations of Figure 2. *)
 let sb_full_shadow = Softbound.Config.default
@@ -134,35 +125,14 @@ let run ?(argv = []) ?(inputs = []) ?(max_steps = 2_000_000_000)
   let base = { cfg with Interp.State.argv; inputs; max_steps } in
   let run_transform opts =
     let m', _sites = instrument_cached ~opts m in
-    let cfg =
-      {
-        base with
-        Interp.State.meta =
-          Some (Softbound.facility_of opts.Softbound.Config.facility);
-        store_only = opts.Softbound.Config.mode = Softbound.Config.Store_only;
-      }
-    in
-    Interp.Engine.run ~cfg m'
+    Interp.Engine.run ~cfg:(Softbound.vm_config ~cfg:base opts) m'
   in
   match scheme with
   | Unprotected -> Softbound.run_unprotected ~cfg:base m
-  | Softbound opts -> run_transform opts
-  | Cguard -> run_transform (Schemes.Cguard.options ())
-  | Framer -> run_transform (Schemes.Framer.options ())
-  | L4_pointer -> run_transform (Schemes.L4_pointer.options ())
-  | Mscc -> Baselines.Mscc.run ~cfg:base m
-  | Jones_kelly ->
-      Softbound.run_unprotected
-        ~cfg:{ base with checker = Some (Baselines.Jones_kelly.make ()) }
-        m
-  | Memcheck ->
-      Softbound.run_unprotected
-        ~cfg:{ base with checker = Some (Baselines.Memcheck_like.make ()) }
-        m
-  | Mudflap ->
-      Softbound.run_unprotected
-        ~cfg:{ base with checker = Some (Baselines.Mudflap_like.make ()) }
-        m
+  | Softbound opts | Scheme { Schemes.impl = Schemes.Transform opts; _ } ->
+      run_transform opts
+  | Scheme { Schemes.impl = Schemes.Plugin mk; _ } ->
+      Softbound.run_unprotected ~cfg:{ base with checker = Some (mk ()) } m
 
 exception
   Workload_failed of {

@@ -3,21 +3,19 @@
 
 module Ir = Sbir.Ir
 
-(** A protection scheme: nothing, a SoftBound configuration, one of the
-    baseline tools, or one of the related-work schemes from {!Schemes}
-    (CGuard object headers, FRAMER frame tags, L4 wide pointers). *)
+(** A protection scheme: nothing, a SoftBound configuration, or a
+    registry scheme ({!Schemes.all}: MSCC, the related-work schemes and
+    the baseline checkers). *)
 type scheme =
   | Unprotected
   | Softbound of Softbound.Config.options
-  | Jones_kelly
-  | Memcheck
-  | Mudflap
-  | Mscc
-  | Cguard
-  | Framer
-  | L4_pointer
+  | Scheme of Schemes.entry
 
 val scheme_name : scheme -> string
+(** For a registry scheme, its registry name. *)
+
+val registered : string -> scheme
+(** [registered name] is [Scheme (Schemes.get name)]. *)
 
 (** {1 The four SoftBound configurations of Figure 2} *)
 
@@ -36,8 +34,10 @@ val run :
   Interp.Vm.result
 (** Run a module under a scheme.  [cfg] supplies the non-scheme VM
     settings (observability, tracing, cache use); [argv]/[inputs]/
-    [max_steps] override the corresponding [cfg] fields.  SoftBound
-    schemes instrument through {!instrument_cached}. *)
+    [max_steps] override the corresponding [cfg] fields.  SoftBound and
+    registry transform schemes instrument through {!instrument_cached};
+    plugin schemes run the module unchanged with their checker
+    attached. *)
 
 val instrument_cached :
   ?opts:Softbound.Config.options -> Ir.modul -> Ir.modul * int

@@ -82,9 +82,13 @@ type checker = {
 (* Metadata facility (paper section 5.1)                                *)
 (* ------------------------------------------------------------------ *)
 
-(** The two SoftBound organizations from section 5.1, plus three
-    related-work facilities modeled for the scheme matrix.  The three
-    extras keep the shadow space as the physical backing store (the
+(** Metadata organization: the one declaration of the facility type
+    ([Softbound.Config.facility] re-exports it).  [Hash_table]
+    (open-addressing, 24-byte tagged entries, ~9 x86 instructions per
+    lookup) and [Shadow_space] (tag-less, 16 bytes per pointer-aligned
+    word, ~5 instructions) are the paper's two organizations (section
+    5.1).  The other three model related-work schemes' metadata
+    placements for the scheme matrix.  They keep the shadow space as the physical backing store (the
     simulated program layout is unchanged, so their correctness is
     identical to [Shadow_space]); what differs is the charged cycle
     cost and the cache traffic pattern of each metadata operation:
@@ -324,6 +328,13 @@ let mk_stats () =
     ck_cycles = 0;
   }
 
+(** Metadata-lookup inline-cache cell: the pointer address a
+    hash-table lookup last resolved and the probe displacement at which
+    its tag matched.  The threaded-code engine preallocates one per
+    instrumented site; everything else goes through the direct-mapped
+    [mc] array below.  [mcc_addr = min_int] is empty. *)
+type meta_cell = { mutable mcc_addr : int; mutable mcc_disp : int }
+
 type t = {
   cfg : config;
   modul : Ir.modul;
@@ -367,23 +378,16 @@ type t = {
   mutable ht_live : int;
       (** occupied hash-table slots; growth keeps this at most half of
           [ht_entries] so probe chains stay short *)
-  mc_site : int array;
-      (** per-site metadata-lookup inline cache, direct-mapped on the
-          site id: the instrumentation site last served by this slot
-          (-1 = empty) ... *)
-  mc_addr : int array;  (** ... the pointer address it looked up ... *)
-  mc_disp : int array;
-      (** ... the probe displacement at which the tag matched ... *)
-  mc_gen : int array;
-      (** ... and the [ht_resizes] generation it was valid in.  A resize
-          rehashes every entry, so a generation mismatch invalidates the
-          cached displacement; between resizes tags never move or clear,
-          so a verified hit can replay the probe walk without re-reading
-          the intermediate tags. *)
+  mc : meta_cell array;
+      (** per-site metadata-lookup inline cache for callers that own no
+          cell ({!meta_load}): direct-mapped on the low bits of the site
+          id, [mc_size] entries *)
 }
 
-(** Inline-cache size (power of two); sites hash in by their low bits. *)
+(** Size of [mc] (power of two). *)
 let mc_size = 1024
+
+let fresh_meta_cell () = { mcc_addr = min_int; mcc_disp = 0 }
 
 (** Register files of up to this many registers are pooled. *)
 let reg_pool_buckets = 64
@@ -516,95 +520,8 @@ let modeled_store st fac addr base bound : unit =
   Mem.write_int st.mem sa 8 base;
   Mem.write_int st.mem (sa + 8) 8 bound
 
-let meta_load ?(site = 0) st addr : int * int =
-  st.stats.meta_loads <- st.stats.meta_loads + 1;
-  let cy0 = st.stats.cycles in
-  let (mb, me) as res =
-    match st.cfg.meta with
-  | None -> (0, 0)
-  | Some Shadow_space ->
-      let sa = L.shadow_addr addr in
-      charge st Cost.shadow_lookup;
-      cache_access st sa;
-      cache_access st (sa + 8);
-      (Mem.read_int st.mem sa 8, Mem.read_int st.mem (sa + 8) 8)
-  | Some ((Obj_header | Frame_tag | Wide_inline) as fac) ->
-      modeled_load st fac addr
-  | Some Hash_table ->
-      charge st Cost.hash_lookup;
-      let tag = addr + 1 in
-      let home = ht_index st addr in
-      let mc = site land (mc_size - 1) in
-      let rec probe i n =
-        (* sound cutoff: insertion keeps every live entry within
-           [ht_max_probes] of its home slot *)
-        if n > ht_max_probes then (0, 0)
-        else begin
-          let ea = ht_slot_addr st i in
-          cache_access st ea;
-          let t = Mem.read_int st.mem ea 8 in
-          if t = tag then begin
-            cache_access st (ea + 8);
-            cache_access st (ea + 16);
-            (* only successful tag matches enter the inline cache: their
-               displacement is stable until the next resize *)
-            st.mc_site.(mc) <- site;
-            st.mc_addr.(mc) <- addr;
-            st.mc_disp.(mc) <- n;
-            st.mc_gen.(mc) <- st.stats.ht_resizes;
-            (Mem.read_int st.mem (ea + 8) 8, Mem.read_int st.mem (ea + 16) 8)
-          end
-          else if t = 0 then (0, 0)
-          else begin
-            st.stats.ht_probes <- st.stats.ht_probes + 1;
-            charge st Cost.hash_probe;
-            probe (i + 1) (n + 1)
-          end
-        end
-      in
-      if
-        st.mc_site.(mc) = site
-        && st.mc_addr.(mc) = addr
-        && st.mc_gen.(mc) = st.stats.ht_resizes
-        && Mem.read_int st.mem (ht_slot_addr st (home + st.mc_disp.(mc))) 8
-           = tag
-      then begin
-        (* verified hit: the entry is still where it was, and (between
-           resizes) the intermediate tags can't have changed — replay
-           the probe walk's accounting without re-reading them.  The
-           emitted cache/charge/probe sequence is identical to the full
-           probe's, so simulated outputs don't move. *)
-        let d = st.mc_disp.(mc) in
-        for k = 0 to d - 1 do
-          cache_access st (ht_slot_addr st (home + k));
-          st.stats.ht_probes <- st.stats.ht_probes + 1;
-          charge st Cost.hash_probe
-        done;
-        let ea = ht_slot_addr st (home + d) in
-        cache_access st ea;
-        cache_access st (ea + 8);
-        cache_access st (ea + 16);
-        (Mem.read_int st.mem (ea + 8) 8, Mem.read_int st.mem (ea + 16) 8)
-      end
-      else probe home 0
-  in
-  if st.cfg.obs_enabled then begin
-    Obs.record_op st.obs Obs.KMetaLoad ~site ~cycles:(st.stats.cycles - cy0);
-    if Obs.trace_on st.obs then
-      Obs.trace_event st.obs
-        (Obs.E_meta_load { site; addr; base = mb; bound = me })
-  end;
-  res
-
-(** Per-site inline-cache cell owned by the caller: the threaded-code
-    engine preallocates one per instrumented site and threads it through
-    the closure environment, replacing the direct-mapped [mc_*] arrays
-    (no site hashing, no collisions).  [mcc_addr = min_int] is empty. *)
-type meta_cell = { mutable mcc_addr : int; mutable mcc_disp : int }
-
-let fresh_meta_cell () = { mcc_addr = min_int; mcc_disp = 0 }
-
-(** [meta_load] against a caller-owned cell.  A hit is verified purely by
+(** Metadata lookup for [addr] through the inline-cache [cell] of its
+    instrumentation site.  A hash-table hit is verified purely by
     re-reading the tag at the cached displacement: the insertion
     invariant (a live entry at displacement [d] implies slots
     [home..home+d-1] are occupied) plus the fact that tags never clear
@@ -612,8 +529,8 @@ let fresh_meta_cell () = { mcc_addr = min_int; mcc_disp = 0 }
     probe's whenever the tag matches — no generation check needed, which
     also makes stale cells (cached compiled code reused across runs, or
     shared between domains) safe: a wrong cell can only miss, never
-    mis-account.  Simulated outputs are bit-identical to [meta_load];
-    only host-side hit rates differ. *)
+    mis-account.  Simulated outputs are bit-identical to an uncached
+    probe; only host-side hit rates differ. *)
 let meta_load_cell ?(site = 0) st (cell : meta_cell) addr : int * int =
   st.stats.meta_loads <- st.stats.meta_loads + 1;
   let cy0 = st.stats.cycles in
@@ -633,6 +550,8 @@ let meta_load_cell ?(site = 0) st (cell : meta_cell) addr : int * int =
         let tag = addr + 1 in
         let home = ht_index st addr in
         let rec probe i n =
+          (* sound cutoff: insertion keeps every live entry within
+             [ht_max_probes] of its home slot *)
           if n > ht_max_probes then (0, 0)
           else begin
             let ea = ht_slot_addr st i in
@@ -641,6 +560,7 @@ let meta_load_cell ?(site = 0) st (cell : meta_cell) addr : int * int =
             if t = tag then begin
               cache_access st (ea + 8);
               cache_access st (ea + 16);
+              (* only successful tag matches enter the cell *)
               cell.mcc_addr <- addr;
               cell.mcc_disp <- n;
               (Mem.read_int st.mem (ea + 8) 8, Mem.read_int st.mem (ea + 16) 8)
@@ -658,6 +578,10 @@ let meta_load_cell ?(site = 0) st (cell : meta_cell) addr : int * int =
           && Mem.read_int st.mem (ht_slot_addr st (home + cell.mcc_disp)) 8
              = tag
         then begin
+          (* verified hit: replay the probe walk's accounting without
+             re-reading the intermediate tags.  The emitted
+             cache/charge/probe sequence is identical to the full
+             probe's, so simulated outputs don't move. *)
           let d = cell.mcc_disp in
           for k = 0 to d - 1 do
             cache_access st (ht_slot_addr st (home + k));
@@ -679,6 +603,13 @@ let meta_load_cell ?(site = 0) st (cell : meta_cell) addr : int * int =
         (Obs.E_meta_load { site; addr; base = mb; bound = me })
   end;
   res
+
+(** [meta_load_cell] for callers that own no cell (the decode engine,
+    the runtime wrappers): the site picks a slot of the state's
+    direct-mapped [mc] cache.  Sites that collide share a cell, which
+    can only cost host-side misses. *)
+let meta_load ?(site = 0) st addr : int * int =
+  meta_load_cell ~site st st.mc.(site land (mc_size - 1)) addr
 
 (** Insert (or update/clear) one entry; grows the table instead of
     failing when the probe chain or the load factor is exhausted.

@@ -162,10 +162,7 @@ let create ?(cfg = default_config) (m : Ir.modul) : loaded =
       reg_pool = Array.make reg_pool_buckets [];
       ht_entries = ht_entries0;
       ht_live = 0;
-      mc_site = Array.make mc_size (-1);
-      mc_addr = Array.make mc_size 0;
-      mc_disp = Array.make mc_size 0;
-      mc_gen = Array.make mc_size 0;
+      mc = Array.init mc_size (fun _ -> fresh_meta_cell ());
     }
   in
   (* lay out globals: two passes (addresses first, then initializers,

@@ -41,11 +41,22 @@ type entry = {
   summary : string;
 }
 
-(** Every matrix scheme beyond the SoftBound configurations themselves.
+(** Every matrix scheme beyond the SoftBound configurations themselves,
+    in report order (BENCH_schemes.json's columns).  Each [sname] is
+    also the scheme's request name (CLI [--checker], serve [scheme]).
     A function because the CGuard entry reads its test hook at call
     time. *)
 let all () : entry list =
   [
+    {
+      sname = "mscc";
+      impl = Transform Baselines.Mscc.options;
+      misses_sub_object = true;
+      guaranteed_detect = true;
+      summary =
+        "MSCC-style pointer-chasing metadata (hash facility, no bounds \
+         shrinking, no cleanup passes)";
+    };
     {
       sname = Cguard.name;
       impl = Transform (Cguard.options ());
@@ -66,15 +77,6 @@ let all () : entry list =
       misses_sub_object = true;
       guaranteed_detect = true;
       summary = L4_pointer.summary;
-    };
-    {
-      sname = "mscc";
-      impl = Transform Baselines.Mscc.options;
-      misses_sub_object = true;
-      guaranteed_detect = true;
-      summary =
-        "MSCC-style pointer-chasing metadata (hash facility, no bounds \
-         shrinking, no cleanup passes)";
     };
     {
       sname = "jones-kelly";
@@ -107,6 +109,13 @@ let all () : entry list =
 
 let find name = List.find_opt (fun e -> e.sname = name) (all ())
 let names () = List.map (fun e -> e.sname) (all ())
+
+(** [find] for names fixed in code; an unknown name is a programming
+    error. *)
+let get name =
+  match find name with
+  | Some e -> e
+  | None -> invalid_arg ("Schemes.get: no scheme " ^ name)
 
 (** Run [entry] on an uninstrumented module, producing the same
     [Vm.result] shape every other configuration produces.  Transform

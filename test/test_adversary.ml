@@ -140,7 +140,9 @@ let memmove_prop =
          quad (bool : bool arbitrary) (int_range 3 8) (int_range 1 7) bool)
        (fun (hash, nslots, k, right) ->
          let k = 1 + (k mod (nslots - 1)) in
-         let facility = if hash then Adv.Hash else Adv.Shadow in
+         let facility =
+           if hash then Interp.State.Hash_table else Interp.State.Shadow_space
+         in
          match memmove_equiv ~facility ~nslots ~k ~right () with
          | None -> true
          | Some why -> QCheck.Test.fail_report why))

@@ -34,19 +34,16 @@ let fingerprint (r : Vm.result) =
       Obs.seg_stats r.Vm.obs,
       Obs.attribution r.Vm.obs ) )
 
-let cfg_with engine = { St.default_config with St.engine; max_steps = 3_000_000 }
-
-let run_both ?opts m =
+let run_both ?(base = St.default_config) ?opts m =
   let run engine =
-    let cfg = cfg_with engine in
+    let cfg = { base with St.engine; max_steps = 3_000_000 } in
     match opts with
     | None -> Softbound.run_unprotected ~cfg m
     | Some opts -> Softbound.run_protected ~opts ~cfg m
   in
   (run St.Eng_decode, run St.Eng_closure)
 
-let check_same label ?opts m =
-  let d, c = run_both ?opts m in
+let same label (d, c) =
   let fd = fingerprint d and fc = fingerprint c in
   if fd <> fc then
     Alcotest.failf "%s: engines diverge\n  decode:  %s | %S\n  closure: %s | %S"
@@ -55,6 +52,8 @@ let check_same label ?opts m =
       d.Vm.stdout_text
       (St.string_of_outcome c.Vm.outcome)
       c.Vm.stdout_text
+
+let check_same label ?opts m = same label (run_both ?opts m)
 
 (* hand-written programs covering shapes the generator rarely stresses:
    setjmp/longjmp unwinding, function pointers, varargs printf, and a
@@ -84,6 +83,19 @@ let regressions =
        printf(\"%ld\\n\", s); return 0; }" );
   ]
 
+(* test_softbound's hash-table growth program, reshaped so the table
+   both probes and resizes: pointer slots 64 bytes apart collide in the
+   small table, and the read-back of [tab[8]] in the fill loop replays
+   a lookup cached in a per-site cell before each rehash against the
+   grown table *)
+let resizing_hash_table =
+  "long *tab[4096]; \
+   int main(void) { long i; long acc = 0; \
+   for (i = 0; i < 512; i = i + 1) { tab[8 * i] = (long *)malloc(2 * sizeof(long)); \
+   *tab[8 * i] = i; if (i > 0) acc += *tab[8]; } \
+   for (i = 0; i < 512; i = i + 1) acc += *tab[8 * i]; \
+   printf(\"%ld\\n\", acc); return 0; }"
+
 let fuzz_corpus_size = 200
 
 let suite =
@@ -96,6 +108,26 @@ let suite =
             check_same (name ^ " [unprot]") m;
             check_same (name ^ " [full]") ~opts:Softbound.Config.default m)
           regressions);
+    Alcotest.test_case "hash table resizing mid-run: decode = closure" `Quick
+      (fun () ->
+        let ((d, _) as runs) =
+          run_both
+            ~base:{ St.default_config with St.ht_entries_init = 64 }
+            ~opts:
+              {
+                Softbound.Config.default with
+                facility = Softbound.Config.Hash_table;
+              }
+            (Softbound.compile resizing_hash_table)
+        in
+        same "resizing hash table" runs;
+        Alcotest.(check string) "output" "131327\n" d.Vm.stdout_text;
+        (* pinned: a cached lookup must account exactly like a fresh
+           probe, so these only move with the hash-table cost model *)
+        Alcotest.(check (list int))
+          "cycles, probes, resizes" [ 141312; 3744; 4 ]
+          [ d.Vm.stats.St.cycles; d.Vm.stats.St.ht_probes;
+            d.Vm.stats.St.ht_resizes ]);
     Alcotest.test_case
       (Printf.sprintf
          "fuzz corpus (%d programs, oob on): decode = closure on outcome, \

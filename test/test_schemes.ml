@@ -59,6 +59,73 @@ let registry_tests =
                   false opts.Softbound.Config.shrink_bounds
             | Schemes.Plugin _ -> ())
           (Schemes.all ()));
+    tc "registry: Runner.run and Schemes.run agree on every entry" (fun () ->
+        (* the harness path (cached transform, VM config from
+           Softbound.vm_config) against the registry's own uncached one *)
+        let w = Option.get (Workloads.find "treeadd") in
+        let progs =
+          (w.Workloads.name, Softbound.compile w.Workloads.source,
+           w.Workloads.quick_args)
+          :: List.map
+               (fun (a, src) -> (a, Softbound.compile src, []))
+               Schemes.gap_attacks
+        in
+        let summary (r : Interp.Vm.result) =
+          ( Interp.State.string_of_outcome r.Interp.Vm.outcome,
+            r.Interp.Vm.stdout_text,
+            r.Interp.Vm.stats.Interp.State.cycles,
+            r.Interp.Vm.stats.Interp.State.checks )
+        in
+        List.iter
+          (fun e ->
+            List.iter
+              (fun (pname, m, argv) ->
+                let via_runner =
+                  Harness.Runner.run ~argv (Harness.Runner.Scheme e) m
+                and via_registry =
+                  Schemes.run
+                    ~cfg:{ Interp.State.default_config with argv }
+                    e m
+                in
+                if summary via_runner <> summary via_registry then
+                  Alcotest.failf "%s under %s: Runner.run and Schemes.run differ"
+                    pname e.Schemes.sname)
+              progs)
+          (Schemes.all ()));
+  ]
+
+(* ---- bench-check: the schemes artifact agrees with its neighbours ---- *)
+
+let cross_tests =
+  let module B = Harness.Bench_check in
+  let docs ~elim_on =
+    let j = Harness.Json.parse in
+    [
+      ( "BENCH_breakdown.json",
+        j {|{"workloads":[{"name":"k","base_cycles":10,"configs":{
+             "shadow-full-elim":{"cycles":15},
+             "shadow-store-elim":{"cycles":12}}}]}|} );
+      ( "BENCH_elim.json",
+        j
+          (Printf.sprintf
+             {|{"kernels":[{"name":"k","base_cycles":10,
+               "shadow_full":{"on":%d},"shadow_store":{"on":12}}]}|}
+             elim_on) );
+      ( "BENCH_schemes.json",
+        j {|{"workloads":[{"name":"k","base_cycles":10,"schemes":{
+             "softbound-full-shadow":{"cycles":15},
+             "softbound-store-shadow":{"cycles":12}}}]}|} );
+    ]
+  in
+  let errors d =
+    B.errs := [];
+    B.check_cross d;
+    List.length !B.errs
+  in
+  [
+    tc "bench-check: shared cells agree across artifacts" (fun () ->
+        Alcotest.(check int) "agreeing files" 0 (errors (docs ~elim_on:15));
+        Alcotest.(check int) "one stale cell" 1 (errors (docs ~elim_on:14)));
   ]
 
 (* ---- the completeness-gap matrix, every cell pinned ---- *)
@@ -283,4 +350,5 @@ let oracle_tests =
         | Oracle.Skip why -> Alcotest.fail ("skipped: " ^ why));
   ]
 
-let suite = registry_tests @ gap_matrix_tests @ golden_tests @ oracle_tests
+let suite =
+  registry_tests @ cross_tests @ gap_matrix_tests @ golden_tests @ oracle_tests

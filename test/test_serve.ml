@@ -309,6 +309,66 @@ let test_pool_shutdown_no_drain () =
   checkb "some queued jobs dropped" true (dropped >= 0 && dropped <= 5);
   checkb "closed pool refuses work" false (Pool.submit pool (fun () -> ()))
 
+(* ---- scheme and facility names come from the registries ---- *)
+
+let test_registry_schemes () =
+  (* every registry name is a valid request, and the row echoes it *)
+  let names = Schemes.names () in
+  let lines =
+    List.map
+      (fun n ->
+        job
+          [
+            ("id", Json.Str n); ("type", Json.Str "run");
+            ("source", Json.Str "int main() { int a[4]; a[1] = 3; return a[1]; }");
+            ("scheme", Json.Str n);
+          ])
+      names
+  in
+  let _, rows = serve_lines lines in
+  List.iter
+    (fun n ->
+      match find_row rows (Json.Str n) with
+      | Some row ->
+          checkb (n ^ " ok") true (ok_of row);
+          check Alcotest.string (n ^ " row scheme") n (str_of row "scheme");
+          check Alcotest.string (n ^ " outcome") "exit 3" (str_of row "outcome")
+      | None -> Alcotest.fail ("no row for " ^ n))
+    names;
+  (* the pre-registry spelling is gone, and the error says what to use *)
+  match Proto.parse_job {|{"id":1,"type":"run","source":"int main() { return 0; }","scheme":"memcheck"}|} with
+  | Ok _ -> Alcotest.fail "\"memcheck\" accepted"
+  | Error (_, msg) ->
+      let mentions sub =
+        let n = String.length sub in
+        let rec go i =
+          i + n <= String.length msg && (String.sub msg i n = sub || go (i + 1))
+        in
+        go 0
+      in
+      checkb "error names memcheck-like" true (mentions "memcheck-like")
+
+let test_facility_names () =
+  List.iter
+    (fun (f, _) ->
+      match
+        Proto.parse_job
+          (job
+             [
+               ("id", Json.int 1); ("type", Json.Str "run");
+               ("source", Json.Str "int main() { return 0; }");
+               ("facility", Json.Str f);
+             ])
+      with
+      | Ok { Proto.spec = Proto.Run { r_scheme = Harness.Runner.Softbound o; _ }; _ } ->
+          checkb (f ^ " parsed") true
+            (List.assoc f Softbound.Config.facility_inputs
+            = o.Softbound.Config.facility)
+      | Ok _ -> Alcotest.fail (f ^ ": not a SoftBound run")
+      | Error (_, msg) -> Alcotest.fail (f ^ ": " ^ msg))
+    Softbound.Config.facility_inputs;
+  checki "five facilities" 5 (List.length Softbound.Config.facility_inputs)
+
 (* ---- cache sharing across requests ---- *)
 
 let test_source_cache_hits () =
@@ -365,6 +425,10 @@ let suite =
       test_pool_error_keeps_workers;
     Alcotest.test_case "pool: non-draining shutdown drops queue" `Quick
       test_pool_shutdown_no_drain;
+    Alcotest.test_case "every registry scheme name is a request name" `Quick
+      test_registry_schemes;
+    Alcotest.test_case "every facility name is accepted" `Quick
+      test_facility_names;
     Alcotest.test_case "source compile cache hits on identical text" `Quick
       test_source_cache_hits;
     Alcotest.test_case "serve requests share compile+transform caches"

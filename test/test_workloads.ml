@@ -8,11 +8,10 @@ let schemes : (string * Harness.Runner.scheme) list =
     ("sb-full-shadow", Harness.Runner.Softbound Harness.Runner.sb_full_shadow);
     ("sb-full-hash", Harness.Runner.Softbound Harness.Runner.sb_full_hash);
     ("sb-store-shadow", Harness.Runner.Softbound Harness.Runner.sb_store_shadow);
-    ("mscc", Harness.Runner.Mscc);
-    ("jones-kelly", Harness.Runner.Jones_kelly);
-    ("memcheck", Harness.Runner.Memcheck);
-    ("mudflap", Harness.Runner.Mudflap);
   ]
+  @ List.map
+      (fun e -> (e.Schemes.sname, Harness.Runner.Scheme e))
+      (Schemes.all ())
 
 let suite =
   List.map
