@@ -68,7 +68,8 @@ let test_fig2_configs =
 
 let test_mscc =
   Test.make ~name:"sec6.5: mscc-style (quick)"
-    (Staged.stage (run_all_quick (Harness.Runner.registered "mscc")))
+    (Staged.stage
+       (run_all_quick (Harness.Runner.Scheme (Schemes.get "mscc"))))
 
 let test_elim =
   Test.make_grouped ~name:"elim (quick)"

@@ -54,7 +54,8 @@ let checker_arg =
   Arg.(
     value
     & opt
-        (some (enum (List.map (fun e -> (e.Schemes.sname, e)) (Schemes.all ()))))
+        (some
+           (enum (List.map (fun e -> (e.Schemes.sname, e)) (Schemes.all ()))))
         None
     & info [ "checker" ] ~docv:"SCHEME"
         ~doc:

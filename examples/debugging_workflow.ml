@@ -30,9 +30,11 @@ let () =
   Printf.printf "1. plain run:          %s\n"
     (describe (run_with Harness.Runner.Unprotected m));
   Printf.printf "2. memcheck-style:     %s\n"
-    (describe (run_with (Harness.Runner.registered "memcheck-like") m));
+    (describe
+       (run_with (Harness.Runner.Scheme (Schemes.get "memcheck-like")) m));
   Printf.printf "3. mudflap-style:      %s\n"
-    (describe (run_with (Harness.Runner.registered "mudflap-like") m));
+    (describe
+       (run_with (Harness.Runner.Scheme (Schemes.get "mudflap-like")) m));
   Printf.printf "4. softbound (store):  %s\n"
     (describe
        (run_with (Harness.Runner.Softbound Harness.Runner.sb_store_shadow) m));

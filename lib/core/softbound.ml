@@ -41,9 +41,9 @@ let instrument_with_sites ?(opts = Config.default) (m : Ir.modul) :
     Ir.modul * int =
   Transform.transform_with_sites ~opts m
 
-(* [Config.facility] is [Interp.State.meta_facility]; this identity is
-   kept only because the frozen benchmark driver (perfbench/stages.ml)
-   still calls it.  Use {!vm_config}. *)
+(* The identity ([Config.facility] is [Interp.State.meta_facility]),
+   kept only for perfbench/stages.ml, which calls it.  Use
+   {!vm_config}. *)
 let facility_of : Config.facility -> Interp.State.meta_facility = Fun.id
 
 (** The VM configuration a run of code instrumented under [opts] needs:

@@ -631,7 +631,8 @@ let regressions : scenario list =
     (* pre-fix: the protected component's own overlapping memmove
        corrupts slot metadata (forward in-place copy), detected as
        metadata incoherence and as blame traps in [rotget] *)
-    { name = "memmove-meta"; sp = { p with facility = St.Hash_table; ht_init = 8 };
+    { name = "memmove-meta";
+      sp = { p with facility = St.Hash_table; ht_init = 8 };
       acts = [ A_shift 1; A_rotget 2; A_shift 2; A_rotget 5 ] };
     (* pre-fix (harness-discovered): free accepted a forged pointer and
        retired the protected secret's block trap-free *)

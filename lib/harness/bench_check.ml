@@ -376,7 +376,9 @@ let check_cross docs =
     | _ -> None
   in
   match
-    (doc "BENCH_breakdown.json", doc "BENCH_elim.json", doc "BENCH_schemes.json")
+    ( doc "BENCH_breakdown.json",
+      doc "BENCH_elim.json",
+      doc "BENCH_schemes.json" )
   with
   | Some bd, Some el, Some sc ->
       let elim = by_name el "kernels" and schemes = by_name sc "workloads" in

@@ -28,6 +28,7 @@ let run_one ?(quick = false) (w : Workloads.workload) : row =
   let base = Runner.run ~argv Runner.Unprotected m in
   let ovs scheme = Runner.overhead (Runner.run ~argv scheme m) base in
   let ov opts = ovs (Runner.Softbound opts) in
+  let ov_registered name = ovs (Runner.Scheme (Schemes.get name)) in
   {
     workload = w;
     base_cycles = base.stats.Interp.State.cycles;
@@ -35,9 +36,9 @@ let run_one ?(quick = false) (w : Workloads.workload) : row =
     shadow_full = ov Runner.sb_full_shadow;
     hash_store = ov Runner.sb_store_hash;
     shadow_store = ov Runner.sb_store_shadow;
-    cguard = ovs (Runner.registered "cguard");
-    framer = ovs (Runner.registered "framer");
-    l4_pointer = ovs (Runner.registered "l4-pointer");
+    cguard = ov_registered "cguard";
+    framer = ov_registered "framer";
+    l4_pointer = ov_registered "l4-pointer";
   }
 
 let run ?(quick = false) () : row list =

@@ -37,7 +37,7 @@ let run_one ?(quick = true) (w : Workloads.workload) : row =
   let base = Runner.run ~argv Runner.Unprotected m in
   let hash = Runner.run ~argv (Runner.Softbound Runner.sb_full_hash) m in
   let shadow = Runner.run ~argv (Runner.Softbound Runner.sb_full_shadow) m in
-  let scheme name = Runner.run ~argv (Runner.registered name) m in
+  let scheme name = Runner.run ~argv (Runner.Scheme (Schemes.get name)) m in
   let cguard = scheme "cguard" and framer = scheme "framer" in
   let l4 = scheme "l4-pointer" in
   {

@@ -18,7 +18,10 @@ let run_one ?(quick = false) (w : Workloads.workload) : row =
     workload = w;
     softbound =
       Runner.overhead (Runner.run ~argv (Runner.Softbound Runner.sb_full_shadow) m) base;
-    mscc = Runner.overhead (Runner.run ~argv (Runner.registered "mscc") m) base;
+    mscc =
+      Runner.overhead
+        (Runner.run ~argv (Runner.Scheme (Schemes.get "mscc")) m)
+        base;
   }
 
 let run ?(quick = false) () : row list =

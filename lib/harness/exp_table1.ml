@@ -111,8 +111,9 @@ let probe_scheme (s : Runner.scheme) =
   (complete, casts, layout)
 
 let run () : row list =
-  let jk_complete, jk_casts, jk_layout = probe_scheme (Runner.registered "jones-kelly") in
-  let mscc_complete, _, mscc_layout = probe_scheme (Runner.registered "mscc") in
+  let probe_registered name = probe_scheme (Runner.Scheme (Schemes.get name)) in
+  let jk_complete, jk_casts, jk_layout = probe_registered "jones-kelly" in
+  let mscc_complete, _, mscc_layout = probe_registered "mscc" in
   let sb_complete, sb_casts, sb_layout =
     probe_scheme (Runner.Softbound Runner.sb_full_shadow)
   in

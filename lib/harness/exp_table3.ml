@@ -26,6 +26,7 @@ let stopped verdict =
 let run_one (a : Attacks.Wilander.attack) : row =
   let m = Softbound.compile a.Attacks.Wilander.source in
   let v s = Runner.verdict_of (Runner.run s m) in
+  let registered name = stopped (v (Runner.Scheme (Schemes.get name))) in
   {
     attack = a;
     hijacks_unprotected =
@@ -33,9 +34,9 @@ let run_one (a : Attacks.Wilander.attack) : row =
     detected_full = Runner.detected (v (Runner.Softbound Runner.sb_full_shadow));
     detected_store_only =
       Runner.detected (v (Runner.Softbound Runner.sb_store_shadow));
-    detected_jk = stopped (v (Runner.registered "jones-kelly"));
-    detected_memcheck = stopped (v (Runner.registered "memcheck-like"));
-    detected_mudflap = stopped (v (Runner.registered "mudflap-like"));
+    detected_jk = registered "jones-kelly";
+    detected_memcheck = registered "memcheck-like";
+    detected_mudflap = registered "mudflap-like";
   }
 
 let run () : row list = List.map run_one Attacks.Wilander.all

@@ -21,11 +21,12 @@ let expected = [
 let run_one (p : Attacks.Bugbench.program) : row =
   let m = Softbound.compile p.Attacks.Bugbench.source in
   let d s = Runner.detected (Runner.verdict_of (Runner.run s m)) in
+  let registered name = d (Runner.Scheme (Schemes.get name)) in
   let un = Runner.verdict_of (Runner.run Runner.Unprotected m) in
   {
     program = p;
-    valgrind = d (Runner.registered "memcheck-like");
-    mudflap = d (Runner.registered "mudflap-like");
+    valgrind = registered "memcheck-like";
+    mudflap = registered "mudflap-like";
     sb_store = d (Runner.Softbound Runner.sb_store_shadow);
     sb_full = d (Runner.Softbound Runner.sb_full_shadow);
     runs_clean_unprotected =

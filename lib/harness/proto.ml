@@ -117,7 +117,8 @@ let scheme_of_fields v : Runner.scheme =
         | Some f -> f
         | None ->
             reject "unknown facility %S (%s)" f
-              (String.concat "|" (List.map fst Softbound.Config.facility_inputs)))
+              (String.concat "|"
+                 (List.map fst Softbound.Config.facility_inputs)))
   in
   let no_elim = Option.value (opt_bool v "no_elim") ~default:false in
   match opt_str v "scheme" with

@@ -16,9 +16,6 @@ let scheme_name = function
         (Softbound.Config.facility_name o.Softbound.Config.facility)
   | Scheme e -> e.Schemes.sname
 
-(** The registry scheme named [name]; see {!Schemes.names}. *)
-let registered name = Scheme (Schemes.get name)
-
 (* The four SoftBound configurations of Figure 2. *)
 let sb_full_shadow = Softbound.Config.default
 

@@ -14,9 +14,6 @@ type scheme =
 val scheme_name : scheme -> string
 (** For a registry scheme, its registry name. *)
 
-val registered : string -> scheme
-(** [registered name] is [Scheme (Schemes.get name)]. *)
-
 (** {1 The four SoftBound configurations of Figure 2} *)
 
 val sb_full_shadow : Softbound.Config.options

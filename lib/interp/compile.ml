@@ -591,7 +591,7 @@ let compile_inst cld (c_funcs : (string, func_chains) Hashtbl.t) (f : Ir.func)
       fun ld fr ->
         let st = ld.st in
         tick st;
-        let b, e = meta_load_cell ~site st cell (fetch fr sa ja) in
+        let b, e = meta_load_cell ~site st cell 0 (fetch fr sa ja) in
         ureg_set_int fr rb b;
         ureg_set_int fr re e;
         next ld fr
@@ -602,7 +602,7 @@ let compile_inst cld (c_funcs : (string, func_chains) Hashtbl.t) (f : Ir.func)
       fun ld fr ->
         let st = ld.st in
         tick st;
-        let b, e = meta_load_cell ~site st cell (ia fr) in
+        let b, e = meta_load_cell ~site st cell 0 (ia fr) in
         ureg_set_int fr rb b;
         ureg_set_int fr re e;
         next ld fr

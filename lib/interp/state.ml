@@ -88,10 +88,11 @@ type checker = {
     lookup) and [Shadow_space] (tag-less, 16 bytes per pointer-aligned
     word, ~5 instructions) are the paper's two organizations (section
     5.1).  The other three model related-work schemes' metadata
-    placements for the scheme matrix.  They keep the shadow space as the physical backing store (the
-    simulated program layout is unchanged, so their correctness is
-    identical to [Shadow_space]); what differs is the charged cycle
-    cost and the cache traffic pattern of each metadata operation:
+    placements for the scheme matrix.  They keep the shadow space as
+    the physical backing store (the simulated program layout is
+    unchanged, so their correctness is identical to [Shadow_space]);
+    what differs is the charged cycle cost and the cache traffic
+    pattern of each metadata operation:
 
     - [Obj_header] (CGuard): bounds live in a 16-byte header just
       before the object; a lookup derefs the header, an update is a
@@ -328,13 +329,6 @@ let mk_stats () =
     ck_cycles = 0;
   }
 
-(** Metadata-lookup inline-cache cell: the pointer address a
-    hash-table lookup last resolved and the probe displacement at which
-    its tag matched.  The threaded-code engine preallocates one per
-    instrumented site; everything else goes through the direct-mapped
-    [mc] array below.  [mcc_addr = min_int] is empty. *)
-type meta_cell = { mutable mcc_addr : int; mutable mcc_disp : int }
-
 type t = {
   cfg : config;
   modul : Ir.modul;
@@ -378,16 +372,22 @@ type t = {
   mutable ht_live : int;
       (** occupied hash-table slots; growth keeps this at most half of
           [ht_entries] so probe chains stay short *)
-  mc : meta_cell array;
-      (** per-site metadata-lookup inline cache for callers that own no
-          cell ({!meta_load}): direct-mapped on the low bits of the site
-          id, [mc_size] entries *)
+  mc : int array;
+      (** metadata-lookup inline cache for callers that own no cell
+          ({!meta_load}): [mc_size] cells, direct-mapped on the low bits
+          of the site id *)
 }
 
-(** Size of [mc] (power of two). *)
-let mc_size = 1024
+(** A metadata-lookup inline-cache cell is two consecutive slots of an
+    [int array]: the pointer address a hash-table lookup last resolved
+    ([min_int] = empty) and the probe displacement at which its tag
+    matched.  The threaded-code engine gives each instrumented site a
+    two-slot array of its own; the state's [mc] holds [mc_size] cells
+    back to back, so creating a VM allocates one flat array. *)
+let fresh_meta_cell () = [| min_int; 0 |]
 
-let fresh_meta_cell () = { mcc_addr = min_int; mcc_disp = 0 }
+(** Cells in [mc] (power of two). *)
+let mc_size = 1024
 
 (** Register files of up to this many registers are pooled. *)
 let reg_pool_buckets = 64
@@ -520,8 +520,9 @@ let modeled_store st fac addr base bound : unit =
   Mem.write_int st.mem sa 8 base;
   Mem.write_int st.mem (sa + 8) 8 bound
 
-(** Metadata lookup for [addr] through the inline-cache [cell] of its
-    instrumentation site.  A hash-table hit is verified purely by
+(** Metadata lookup for [addr] through the inline-cache cell at slot
+    [ci] of [cache] (see {!fresh_meta_cell}).  A hash-table hit is
+    verified purely by
     re-reading the tag at the cached displacement: the insertion
     invariant (a live entry at displacement [d] implies slots
     [home..home+d-1] are occupied) plus the fact that tags never clear
@@ -531,7 +532,7 @@ let modeled_store st fac addr base bound : unit =
     shared between domains) safe: a wrong cell can only miss, never
     mis-account.  Simulated outputs are bit-identical to an uncached
     probe; only host-side hit rates differ. *)
-let meta_load_cell ?(site = 0) st (cell : meta_cell) addr : int * int =
+let meta_load_cell ?(site = 0) st (cache : int array) ci addr : int * int =
   st.stats.meta_loads <- st.stats.meta_loads + 1;
   let cy0 = st.stats.cycles in
   let (mb, me) as res =
@@ -561,8 +562,8 @@ let meta_load_cell ?(site = 0) st (cell : meta_cell) addr : int * int =
               cache_access st (ea + 8);
               cache_access st (ea + 16);
               (* only successful tag matches enter the cell *)
-              cell.mcc_addr <- addr;
-              cell.mcc_disp <- n;
+              cache.(ci) <- addr;
+              cache.(ci + 1) <- n;
               (Mem.read_int st.mem (ea + 8) 8, Mem.read_int st.mem (ea + 16) 8)
             end
             else if t = 0 then (0, 0)
@@ -574,15 +575,15 @@ let meta_load_cell ?(site = 0) st (cell : meta_cell) addr : int * int =
           end
         in
         if
-          cell.mcc_addr = addr
-          && Mem.read_int st.mem (ht_slot_addr st (home + cell.mcc_disp)) 8
+          cache.(ci) = addr
+          && Mem.read_int st.mem (ht_slot_addr st (home + cache.(ci + 1))) 8
              = tag
         then begin
           (* verified hit: replay the probe walk's accounting without
              re-reading the intermediate tags.  The emitted
              cache/charge/probe sequence is identical to the full
              probe's, so simulated outputs don't move. *)
-          let d = cell.mcc_disp in
+          let d = cache.(ci + 1) in
           for k = 0 to d - 1 do
             cache_access st (ht_slot_addr st (home + k));
             st.stats.ht_probes <- st.stats.ht_probes + 1;
@@ -609,7 +610,7 @@ let meta_load_cell ?(site = 0) st (cell : meta_cell) addr : int * int =
     direct-mapped [mc] cache.  Sites that collide share a cell, which
     can only cost host-side misses. *)
 let meta_load ?(site = 0) st addr : int * int =
-  meta_load_cell ~site st st.mc.(site land (mc_size - 1)) addr
+  meta_load_cell ~site st st.mc (2 * (site land (mc_size - 1))) addr
 
 (** Insert (or update/clear) one entry; grows the table instead of
     failing when the probe chain or the load factor is exhausted.

@@ -162,7 +162,7 @@ let create ?(cfg = default_config) (m : Ir.modul) : loaded =
       reg_pool = Array.make reg_pool_buckets [];
       ht_entries = ht_entries0;
       ht_live = 0;
-      mc = Array.init mc_size (fun _ -> fresh_meta_cell ());
+      mc = Array.make (2 * mc_size) min_int;
     }
   in
   (* lay out globals: two passes (addresses first, then initializers,

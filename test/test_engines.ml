@@ -91,7 +91,8 @@ let regressions =
 let resizing_hash_table =
   "long *tab[4096]; \
    int main(void) { long i; long acc = 0; \
-   for (i = 0; i < 512; i = i + 1) { tab[8 * i] = (long *)malloc(2 * sizeof(long)); \
+   for (i = 0; i < 512; i = i + 1) { \
+   tab[8 * i] = (long *)malloc(2 * sizeof(long)); \
    *tab[8 * i] = i; if (i > 0) acc += *tab[8]; } \
    for (i = 0; i < 512; i = i + 1) acc += *tab[8 * i]; \
    printf(\"%ld\\n\", acc); return 0; }"

@@ -88,8 +88,9 @@ let registry_tests =
                     e m
                 in
                 if summary via_runner <> summary via_registry then
-                  Alcotest.failf "%s under %s: Runner.run and Schemes.run differ"
-                    pname e.Schemes.sname)
+                  Alcotest.failf
+                    "%s under %s: Runner.run and Schemes.run differ" pname
+                    e.Schemes.sname)
               progs)
           (Schemes.all ()));
   ]

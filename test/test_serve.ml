@@ -320,7 +320,8 @@ let test_registry_schemes () =
         job
           [
             ("id", Json.Str n); ("type", Json.Str "run");
-            ("source", Json.Str "int main() { int a[4]; a[1] = 3; return a[1]; }");
+            ( "source",
+              Json.Str "int main() { int a[4]; a[1] = 3; return a[1]; }" );
             ("scheme", Json.Str n);
           ])
       names
@@ -336,7 +337,15 @@ let test_registry_schemes () =
       | None -> Alcotest.fail ("no row for " ^ n))
     names;
   (* the pre-registry spelling is gone, and the error says what to use *)
-  match Proto.parse_job {|{"id":1,"type":"run","source":"int main() { return 0; }","scheme":"memcheck"}|} with
+  match
+    Proto.parse_job
+      (job
+         [
+           ("id", Json.int 1); ("type", Json.Str "run");
+           ("source", Json.Str "int main() { return 0; }");
+           ("scheme", Json.Str "memcheck");
+         ])
+  with
   | Ok _ -> Alcotest.fail "\"memcheck\" accepted"
   | Error (_, msg) ->
       let mentions sub =
@@ -360,7 +369,12 @@ let test_facility_names () =
                ("facility", Json.Str f);
              ])
       with
-      | Ok { Proto.spec = Proto.Run { r_scheme = Harness.Runner.Softbound o; _ }; _ } ->
+      | Ok
+          {
+            Proto.spec =
+              Proto.Run { r_scheme = Harness.Runner.Softbound o; _ };
+            _;
+          } ->
           checkb (f ^ " parsed") true
             (List.assoc f Softbound.Config.facility_inputs
             = o.Softbound.Config.facility)
