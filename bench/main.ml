@@ -9,7 +9,9 @@
 
    2. the paper's tables and figures themselves, regenerated at full
       workload sizes and printed after the timing runs — this is the
-      output to compare against the paper (see EXPERIMENTS.md).
+      output to compare against the paper (see EXPERIMENTS.md).  This
+      harness times and prints only; the committed BENCH_*.json files
+      are written by bin/experiments.exe.
 
    Run with:  dune exec bench/main.exe
    (pass --tables-only to skip the bechamel timing runs) *)
@@ -45,7 +47,8 @@ let test_table4 =
 
 let test_fig1 =
   Test.make ~name:"fig1: pointer-op census (quick)"
-    (Staged.stage (fun () -> ignore (Harness.Exp_fig1.run ~quick:true ())))
+    (Staged.stage (fun () ->
+         ignore (Harness.Exp_fig1.run (Harness.Matrix.create ~quick:true ()))))
 
 let test_fig2_configs =
   Test.make_grouped ~name:"fig2 (quick)"
@@ -81,12 +84,14 @@ let test_elim =
         (Staged.stage
            (run_all_quick
               (Harness.Runner.Softbound
-                 (Harness.Exp_elim.without_elim Harness.Runner.sb_full_shadow))));
+                 (Harness.Matrix.without_elim Harness.Runner.sb_full_shadow))));
     ]
 
 let test_breakdown =
   Test.make ~name:"breakdown: obs attribution (quick)"
-    (Staged.stage (fun () -> ignore (Harness.Exp_breakdown.run ~quick:true ())))
+    (Staged.stage (fun () ->
+         ignore
+           (Harness.Exp_breakdown.run (Harness.Matrix.create ~quick:true ()))))
 
 let test_ablations =
   Test.make ~name:"ablations: shrink/memcpy/clear/prune"
@@ -160,36 +165,19 @@ let print_artifacts () =
   print_endline (Harness.Exp_table1.render (Harness.Exp_table1.run ()));
   print_endline (Harness.Exp_table3.render (Harness.Exp_table3.run ()));
   print_endline (Harness.Exp_table4.render (Harness.Exp_table4.run ()));
-  print_endline (Harness.Exp_fig1.render (Harness.Exp_fig1.run ()));
-  print_endline (Harness.Exp_fig2.render (Harness.Exp_fig2.run ()));
-  print_endline (Harness.Exp_mscc.render (Harness.Exp_mscc.run ~quick:true ()));
-  print_endline (Harness.Exp_memory.render (Harness.Exp_memory.run ()));
+  (* the workload experiments share one run matrix *)
+  let m = Harness.Matrix.create ~quick:false () in
+  print_endline Harness.Exp_fig1.(render (run m));
+  print_endline Harness.Exp_fig2.(render (run m));
+  print_endline Harness.Exp_mscc.(render (run m));
+  print_endline Harness.Exp_memory.(render (run m));
   print_endline (Harness.Exp_sweep.render (Harness.Exp_sweep.run ()));
   print_endline (Harness.Exp_ablation.render ());
-  (* elimination ablation, plus the machine-readable per-kernel cycle
-     record tracking the perf trajectory from PR to PR *)
-  let elim_rows = Harness.Exp_elim.run () in
-  print_endline (Harness.Exp_elim.render elim_rows);
-  let oc = open_out "BENCH_elim.json" in
-  output_string oc (Harness.Exp_elim.to_json elim_rows);
-  close_out oc;
-  print_endline "wrote BENCH_elim.json";
-  (* per-site overhead attribution (check vs metadata vs wrapper vs
-     residual), the observability layer's headline artifact *)
-  let bd_rows = Harness.Exp_breakdown.run () in
-  print_endline (Harness.Exp_breakdown.render bd_rows);
-  let oc = open_out "BENCH_breakdown.json" in
-  output_string oc (Harness.Exp_breakdown.to_json bd_rows);
-  close_out oc;
-  print_endline "wrote BENCH_breakdown.json";
-  (* engine throughput vs the recorded pre-fast-path baseline; iters=2
-     matches the committed artifact's convention *)
-  let vs_rows = Harness.Exp_vmspeed.run ~iters:2 () in
-  print_endline (Harness.Exp_vmspeed.render vs_rows);
-  let oc = open_out "BENCH_vmspeed.json" in
-  output_string oc (Harness.Exp_vmspeed.to_json ~quick:false ~iters:2 vs_rows);
-  close_out oc;
-  print_endline "wrote BENCH_vmspeed.json"
+  print_endline Harness.Exp_elim.(render (run m));
+  print_endline Harness.Exp_breakdown.(render (run m));
+  print_endline Harness.Exp_schemes.(render (run m));
+  (* engine throughput vs the recorded pre-fast-path baseline *)
+  print_endline Harness.Exp_vmspeed.(render (run ~iters:2 ()))
 
 let () =
   let args = Array.to_list Sys.argv in

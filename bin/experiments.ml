@@ -2,14 +2,22 @@
 
    Usage:
      experiments table1|table3|table4|fig1|fig2|mscc|memory|ablations|all
-       [--quick]  run workloads at reduced sizes *)
+       [--quick]  run workloads at reduced sizes
+     experiments verify-artifacts [--jobs N]
+
+   The workload experiments (fig1, fig2, mscc, memory, elim, breakdown,
+   schemes) are projections over one run matrix per invocation, so a
+   cell several of them need is simulated once.  At full size, memory,
+   elim, breakdown and schemes also write their BENCH_*.json artifact;
+   a --quick run prints its tables and leaves the committed files
+   alone. *)
 
 let usage () =
   prerr_endline
     "usage: experiments \
      <table1|table3|table4|fig1|fig2|mscc|memory|sweep|ablations|elim|\
-     breakdown|vmspeed|serve|adversarial|schemes|bench-check|all> \
-     [--quick] [--jobs N] [--iters N]";
+     breakdown|vmspeed|serve|adversarial|schemes|bench-check|\
+     verify-artifacts|all> [--quick] [--jobs N] [--iters N]";
   exit 2
 
 let () =
@@ -45,6 +53,21 @@ let () =
         "adversarial"; "schemes" ]
     else targets
   in
+  let matrix = Harness.Matrix.create ~jobs ~quick () in
+  let artifact file json =
+    if not quick then begin
+      let oc = open_out file in
+      output_string oc (Harness.Json.pretty json ^ "\n");
+      close_out oc
+    end
+  in
+  let fail_unless (report, ok) =
+    if not ok then begin
+      prerr_endline report;
+      exit 1
+    end;
+    report
+  in
   List.iter
     (fun t ->
       let out =
@@ -52,36 +75,28 @@ let () =
         | "table1" -> Harness.Exp_table1.(render (run ()))
         | "table3" -> Harness.Exp_table3.(render (run ()))
         | "table4" -> Harness.Exp_table4.(render (run ()))
-        | "fig1" -> Harness.Exp_fig1.(render (run ~quick ()))
-        | "fig2" -> Harness.Exp_fig2.(render (run ~quick ()))
-        | "mscc" -> Harness.Exp_mscc.(render (run ~quick ()))
+        | "fig1" -> Harness.Exp_fig1.(render (run matrix))
+        | "fig2" -> Harness.Exp_fig2.(render (run matrix))
+        | "mscc" -> Harness.Exp_mscc.(render (run matrix))
         | "memory" ->
-            let rows = Harness.Exp_memory.run ~quick () in
-            let oc = open_out "BENCH_memory.json" in
-            output_string oc (Harness.Exp_memory.to_json rows);
-            close_out oc;
+            let rows = Harness.Exp_memory.run matrix in
+            artifact "BENCH_memory.json" (Harness.Exp_memory.to_json rows);
             Harness.Exp_memory.render rows
         | "sweep" -> Harness.Exp_sweep.(render (run ()))
         | "ablations" -> Harness.Exp_ablation.render ()
         | "elim" ->
-            (* also refresh the machine-readable per-kernel record *)
-            let rows = Harness.Exp_elim.run ~quick ~jobs () in
-            let oc = open_out "BENCH_elim.json" in
-            output_string oc (Harness.Exp_elim.to_json rows);
-            close_out oc;
+            let rows = Harness.Exp_elim.run matrix in
+            artifact "BENCH_elim.json" (Harness.Exp_elim.to_json rows);
             Harness.Exp_elim.render rows
         | "breakdown" ->
-            let rows = Harness.Exp_breakdown.run ~quick ~jobs () in
-            let oc = open_out "BENCH_breakdown.json" in
-            output_string oc (Harness.Exp_breakdown.to_json rows);
-            close_out oc;
+            let rows = Harness.Exp_breakdown.run matrix in
+            artifact "BENCH_breakdown.json"
+              (Harness.Exp_breakdown.to_json rows);
             Harness.Exp_breakdown.render rows
         | "schemes" ->
-            let matrix = Harness.Exp_schemes.run ~quick ~jobs () in
-            let oc = open_out "BENCH_schemes.json" in
-            output_string oc (Harness.Exp_schemes.to_json matrix);
-            close_out oc;
-            Harness.Exp_schemes.render matrix
+            let rows = Harness.Exp_schemes.run matrix in
+            artifact "BENCH_schemes.json" (Harness.Exp_schemes.to_json rows);
+            Harness.Exp_schemes.render rows
         | "vmspeed" ->
             let rows = Harness.Exp_vmspeed.run ~quick ~iters ~jobs () in
             let oc = open_out "BENCH_vmspeed.json" in
@@ -99,12 +114,11 @@ let () =
             Harness.Exp_serve.render ?total rows
         | "bench-check" ->
             (* validate the committed BENCH_*.json artifacts *)
-            let report, ok = Harness.Bench_check.run () in
-            if not ok then begin
-              prerr_endline report;
-              exit 1
-            end;
-            report
+            fail_unless (Harness.Bench_check.run ())
+        | "verify-artifacts" ->
+            (* regenerate the simulated artifacts at full size and
+               require the committed files to match *)
+            fail_unless (Harness.Bench_check.verify_artifacts ~jobs ())
         | "adversarial" ->
             let t = Harness.Exp_adversarial.run ~quick ~jobs () in
             if not (Harness.Exp_adversarial.ok t) then begin

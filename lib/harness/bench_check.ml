@@ -1,24 +1,26 @@
 (* Validator for the committed machine-readable benchmark artifacts.
 
-   The BENCH_*.json files are hand-emitted, so nothing guarantees they
-   stay well-formed as the emitters evolve.  [run] parses each file
-   with the shared {!Json} reader and checks the schema the downstream
-   tooling relies on: the experiment tag, the presence of the per-row
-   record arrays, the aggregate (geomean) fields, and — for the
-   VM-throughput artifact — that both execution engines are recorded
-   along with the baseline block and the speedup summary.  The serve
-   artifact additionally pins the width matrix (jobs/sec and latency
-   percentiles per domain count).  Across files, the cells the elim,
-   breakdown and schemes artifacts share must carry the same numbers.
-   `make bench-check` (part of `make verify`) fails on any violation. *)
+   [run] parses each BENCH_*.json file with the shared {!Json} reader
+   and checks the schema the downstream tooling relies on: the
+   experiment tag, the presence of the per-row record arrays, the
+   aggregate (geomean) fields, and — for the VM-throughput artifact —
+   that both execution engines are recorded along with the baseline
+   block and the speedup summary.  The serve artifact additionally pins
+   the width matrix (jobs/sec and latency percentiles per domain
+   count).  Across files, the cells the elim, breakdown and schemes
+   artifacts share must carry the same numbers.  [verify_artifacts]
+   applies the same checks to the simulated artifacts regenerated in
+   memory and requires the committed files to equal them.
+   `make verify` fails on any violation. *)
 
 open Json
 
-let parse = Json.parse
-let field = Json.field
-
 let errs : string list ref = ref []
 let bad file msg = errs := Printf.sprintf "%s: %s" file msg :: !errs
+
+(* the value at a key path below [obj] *)
+let at obj path =
+  List.fold_left (fun o k -> Option.bind o (fun o -> field o k)) (Some obj) path
 
 let require file obj k =
   match field obj k with
@@ -32,11 +34,29 @@ let require_rows file obj k =
   | Some _ -> bad file (Printf.sprintf "%S is not an array" k); None
   | None -> None
 
-let require_num file obj k =
-  match require file obj k with
-  | Some (Num _) -> ()
-  | Some _ -> bad file (Printf.sprintf "%S is not a number" k)
-  | None -> ()
+(* [f ctx row] over every row of the record array [k] *)
+let each_row file obj k f =
+  Option.iter
+    (List.iteri (fun i row -> f (Printf.sprintf "row %d: " i) row))
+    (require_rows file obj k)
+
+(* the object at [path] below [obj] must carry the numeric [keys] *)
+let nums file ctx obj path keys =
+  match at obj path with
+  | Some g ->
+      List.iter
+        (fun k ->
+          match field g k with
+          | Some (Num _) -> ()
+          | _ ->
+              bad file
+                (Printf.sprintf "%s%s missing or not a number" ctx
+                   (String.concat "." (path @ [ k ]))))
+        keys
+  | None -> bad file (ctx ^ "missing " ^ String.concat "." path)
+
+let rows_have file obj k keys =
+  each_row file obj k (fun ctx row -> nums file ctx row [] keys)
 
 let experiment_tag file obj expected =
   match require file obj "experiment" with
@@ -46,104 +66,33 @@ let experiment_tag file obj expected =
   | Some _ -> bad file "experiment is not a string"
   | None -> ()
 
-(* every row of a record array must carry the listed numeric fields *)
-let rows_have file rows keys =
-  List.iteri
-    (fun i row ->
-      List.iter
-        (fun k ->
-          match field row k with
-          | Some (Num _) -> ()
-          | Some _ ->
-              bad file (Printf.sprintf "row %d: %S is not a number" i k)
-          | None -> bad file (Printf.sprintf "row %d: missing %S" i k))
-        keys)
-    rows
-
-let keys_num file ctx g keys =
-  List.iter
-    (fun k ->
-      match field g k with
-      | Some (Num _) -> ()
-      | _ -> bad file (Printf.sprintf "%s.%s missing" ctx k))
-    keys
-
-let on_off file ctx g = keys_num file ctx g [ "on"; "off" ]
-
 let check_elim file obj =
   experiment_tag file obj "elim-ablation";
-  (match require file obj "geomean_overhead" with
-  | Some geo ->
-      List.iter
-        (fun grp ->
-          match field geo grp with
-          | Some g ->
-              keys_num file
-                ("geomean_overhead." ^ grp)
-                g
-                [ "on"; "no_widen"; "off" ]
-          | None -> bad file ("geomean_overhead missing " ^ grp))
-        [ "shadow_full"; "hash_full"; "shadow_store"; "hash_store" ]
-  | None -> ());
-  match require_rows file obj "kernels" with
-  | Some rows ->
-      rows_have file rows
+  let variants = [ "on"; "no_widen"; "off" ] in
+  let groups = [ "shadow_full"; "hash_full"; "shadow_store"; "hash_store" ] in
+  List.iter
+    (fun g -> nums file "" obj [ "geomean_overhead"; g ] variants)
+    groups;
+  each_row file obj "kernels" (fun ctx row ->
+      nums file ctx row []
         [ "base_cycles"; "checks_widened"; "checks_coalesced" ];
-      List.iteri
-        (fun i row ->
-          (match field row "checks" with
-          | Some g ->
-              keys_num file
-                (Printf.sprintf "row %d: checks" i)
-                g
-                [ "on"; "no_widen"; "off" ]
-          | None -> bad file (Printf.sprintf "row %d: missing checks" i));
-          match field row "meta_loads" with
-          | Some g -> on_off file (Printf.sprintf "row %d: meta_loads" i) g
-          | None -> bad file (Printf.sprintf "row %d: missing meta_loads" i))
-        rows;
-      List.iteri
-        (fun i row ->
-          List.iter
-            (fun grp ->
-              match field row grp with
-              | Some g ->
-                  keys_num file
-                    (Printf.sprintf "row %d: %s" i grp)
-                    g
-                    [
-                      "on"; "no_widen"; "off"; "overhead_on";
-                      "overhead_no_widen"; "overhead_off";
-                    ]
-              | None -> bad file (Printf.sprintf "row %d: missing %s" i grp))
-            [ "shadow_full"; "hash_full"; "shadow_store"; "hash_store" ])
-        rows
-  | None -> ()
+      nums file ctx row [ "checks" ] variants;
+      nums file ctx row [ "meta_loads" ] [ "on"; "off" ];
+      List.iter
+        (fun g ->
+          nums file ctx row [ g ]
+            (variants @ List.map (( ^ ) "overhead_") variants))
+        groups)
 
 let check_breakdown file obj =
   experiment_tag file obj "overhead-breakdown";
-  match require_rows file obj "workloads" with
-  | Some rows ->
-      rows_have file rows [ "base_cycles" ];
-      List.iteri
-        (fun i row ->
-          match field row "configs" with
-          | Some (Obj (_ :: _ as cfgs)) ->
-              List.iter
-                (fun (cname, c) ->
-                  List.iter
-                    (fun k ->
-                      match field c k with
-                      | Some (Num _) -> ()
-                      | _ ->
-                          bad file
-                            (Printf.sprintf "row %d: configs.%s.%s missing" i
-                               cname k))
-                    [ "cycles"; "check"; "metadata"; "wrapper"; "residual" ])
-                cfgs
-          | _ -> bad file (Printf.sprintf "row %d: missing configs" i))
-        rows
-  | None -> ()
+  each_row file obj "workloads" (fun ctx row ->
+      nums file ctx row [] [ "base_cycles" ];
+      List.iter
+        (fun c ->
+          nums file ctx row [ "configs"; c ]
+            [ "cycles"; "check"; "metadata"; "wrapper"; "residual" ])
+        Exp_breakdown.configs)
 
 let check_vmspeed file obj =
   experiment_tag file obj "vmspeed";
@@ -151,195 +100,132 @@ let check_vmspeed file obj =
   (* the engine axis itself *)
   (match require file obj "engines" with
   | Some (List names) ->
-      let names =
-        List.filter_map (function Str s -> Some s | _ -> None) names
-      in
       List.iter
         (fun want ->
-          if not (List.mem want names) then
+          if not (List.mem (Str want) names) then
             bad file (Printf.sprintf "engine %S not recorded" want))
         engines
   | Some _ -> bad file "engines is not an array"
   | None -> ());
   (* the recorded reference the speedups are measured against *)
-  (match require file obj "baseline" with
-  | Some b -> (
-      match field b "rows" with
-      | Some (List (_ :: _ as rows)) ->
-          rows_have file rows [ "cycles_per_host_sec" ]
-      | _ -> bad file "baseline has no rows")
-  | None -> ());
+  Option.iter
+    (fun b -> rows_have file b "rows" [ "cycles_per_host_sec" ])
+    (require file obj "baseline");
   (* the current measurement: rows tagged by engine, plus geomeans *)
-  (match require file obj "current" with
-  | Some c -> (
-      (match field c "geomean_cycles_per_host_sec" with
-      | Some _ -> ()
-      | None -> bad file "current has no geomean");
-      match field c "rows" with
-      | Some (List (_ :: _ as rows)) ->
-          rows_have file rows
-            [ "sim_cycles"; "cycles_per_host_sec"; "speedup_vs_baseline" ];
-          List.iter
-            (fun want ->
-              let covered =
-                List.exists
-                  (fun r ->
-                    match field r "engine" with
-                    | Some (Str s) -> s = want
-                    | _ -> false)
-                  rows
-              in
-              if not covered then
-                bad file (Printf.sprintf "no rows for engine %S" want))
-            engines
-      | _ -> bad file "current has no rows")
-  | None -> ());
-  (* per-engine overall speedup summary *)
-  match require file obj "speedup_vs_baseline" with
-  | Some sp ->
+  Option.iter
+    (fun c ->
+      if field c "geomean_cycles_per_host_sec" = None then
+        bad file "current has no geomean";
+      rows_have file c "rows"
+        [ "sim_cycles"; "cycles_per_host_sec"; "speedup_vs_baseline" ];
+      let rows = Option.value ~default:[] (list_field c "rows") in
       List.iter
-        (fun eng ->
-          match field sp eng with
-          | Some o -> (
-              match field o "overall" with
-              | Some (Num _) -> ()
-              | _ -> bad file (eng ^ " speedup has no overall geomean"))
-          | None -> bad file ("no speedup block for engine " ^ eng))
-        engines
-  | None -> ()
+        (fun want ->
+          let tagged r = field r "engine" = Some (Str want) in
+          if not (List.exists tagged rows) then
+            bad file (Printf.sprintf "no rows for engine %S" want))
+        engines)
+    (require file obj "current");
+  (* per-engine overall speedup summary *)
+  List.iter
+    (fun eng -> nums file "" obj [ "speedup_vs_baseline"; eng ] [ "overall" ])
+    engines
 
 (* the sustained-load service benchmark: a row per worker-pool width,
    each carrying throughput and latency percentiles, plus the mix and
    loss accounting the acceptance criteria quote *)
 let check_serve file obj =
   experiment_tag file obj "serve";
-  (match require file obj "jobs_total" with
-  | Some (Num _) -> ()
-  | Some _ -> bad file "jobs_total is not a number"
-  | None -> ());
+  nums file "" obj [] [ "jobs_total"; "speedup_max_vs_1" ];
   (match require file obj "mix" with
   | Some (Obj (_ :: _ as kinds)) ->
-      List.iter
-        (fun (k, v) ->
-          match v with
-          | Num _ -> ()
-          | _ -> bad file (Printf.sprintf "mix.%s is not a number" k))
-        kinds
+      nums file "" obj [ "mix" ] (List.map fst kinds)
   | Some _ -> bad file "mix is not an object"
   | None -> ());
-  (match require_rows file obj "widths" with
-  | Some rows ->
-      rows_have file rows
-        [
-          "jobs"; "wall_seconds"; "jobs_per_sec"; "p50_ms"; "p99_ms";
-          "errors"; "lost"; "duplicated";
-        ]
-  | None -> ());
-  require_num file obj "speedup_max_vs_1"
+  rows_have file obj "widths"
+    [
+      "jobs"; "wall_seconds"; "jobs_per_sec"; "p50_ms"; "p99_ms"; "errors";
+      "lost"; "duplicated";
+    ]
 
 (* the N-scheme matrix: a coverage block pinning the completeness-gap
    story (SoftBound full sees the sub-object overflow, the
    object-granularity schemes must not), plus per-workload per-scheme
-   cost records with the attribution buckets *)
+   cost records with the attribution buckets; every column of the
+   matrix is present in both *)
 let check_schemes file obj =
   experiment_tag file obj "schemes";
-  let bool_cell ctx det k =
-    match field det k with
-    | Some (Bool b) -> Some b
-    | Some _ ->
-        bad file (Printf.sprintf "%s.%s is not a bool" ctx k);
-        None
-    | None ->
-        bad file (Printf.sprintf "%s: missing cell %s" ctx k);
-        None
+  let columns = List.map fst (Exp_schemes.columns ()) in
+  let coverage =
+    List.filter_map
+      (fun row ->
+        match field row "attack" with
+        | Some (Str a) -> Some (a, row)
+        | _ -> bad file "coverage row without attack"; None)
+      (Option.value ~default:[] (require_rows file obj "coverage"))
   in
-  (match require_rows file obj "coverage" with
-  | Some rows ->
-      let cell attack k =
-        List.find_map
-          (fun row ->
-            match (field row "attack", field row "detected") with
-            | Some (Str a), Some det when a = attack ->
-                bool_cell ("coverage." ^ attack) det k
-            | _ -> None)
-          rows
-      in
-      let expect attack k want =
-        match cell attack k with
-        | Some b when b = want -> ()
-        | Some _ ->
-            bad file
-              (Printf.sprintf "coverage: %s/%s should be %b" attack k want)
-        | None ->
-            bad file (Printf.sprintf "coverage: no cell %s/%s" attack k)
-      in
-      (* SoftBound's completeness edge: full checking detects every
-         attack class, including the intra-object one... *)
+  let cell attack k =
+    match
+      Option.bind (List.assoc_opt attack coverage) (fun row ->
+          at row [ "detected"; k ])
+    with
+    | Some (Bool b) -> Some b
+    | _ -> None
+  in
+  List.iter
+    (fun (a, _) ->
       List.iter
-        (fun attack -> expect attack "softbound-full-shadow" true)
-        [
-          "sub-object-overflow"; "adjacent-heap-overflow"; "heap-underflow";
-          "off-by-one-read";
-        ];
-      (* ...which every whole-object-bounds scheme must miss *)
+        (fun k ->
+          if cell a k = None then
+            bad file (Printf.sprintf "coverage: no bool cell %s/%s" a k))
+        columns)
+    coverage;
+  let expect attack k want =
+    match cell attack k with
+    | Some b when b <> want ->
+        bad file (Printf.sprintf "coverage: %s/%s should be %b" attack k want)
+    | Some _ -> ()
+    | None -> bad file (Printf.sprintf "coverage: no cell %s/%s" attack k)
+  in
+  (* SoftBound's completeness edge: full checking detects every attack
+     class, including the intra-object one... *)
+  List.iter
+    (fun attack -> expect attack "softbound-full-shadow" true)
+    [
+      "sub-object-overflow"; "adjacent-heap-overflow"; "heap-underflow";
+      "off-by-one-read";
+    ];
+  (* ...which every whole-object-bounds scheme must miss *)
+  List.iter
+    (fun e ->
+      if e.Schemes.misses_sub_object then
+        expect "sub-object-overflow" e.Schemes.sname false)
+    (Schemes.all ());
+  (* store-only checking is blind to the read attack by design *)
+  expect "off-by-one-read" "softbound-store-shadow" false;
+  each_row file obj "workloads" (fun ctx row ->
+      nums file ctx row [] [ "base_cycles" ];
       List.iter
-        (fun e ->
-          if e.Schemes.misses_sub_object then
-            expect "sub-object-overflow" e.Schemes.sname false)
-        (Schemes.all ());
-      (* store-only checking is blind to the read attack by design *)
-      expect "off-by-one-read" "softbound-store-shadow" false
-  | None -> ());
-  match require_rows file obj "workloads" with
-  | Some rows ->
-      rows_have file rows [ "base_cycles" ];
-      List.iteri
-        (fun i row ->
-          match field row "schemes" with
-          | Some (Obj (_ :: _ as srows)) ->
-              List.iter
-                (fun (sname, s) ->
-                  List.iter
-                    (fun k ->
-                      match field s k with
-                      | Some (Num _) -> ()
-                      | _ ->
-                          bad file
-                            (Printf.sprintf "row %d: schemes.%s.%s missing" i
-                               sname k))
-                    [
-                      "cycles"; "overhead"; "check"; "metadata"; "wrapper";
-                      "residual";
-                    ];
-                  match field s "clean" with
-                  | Some (Bool _) -> ()
-                  | _ ->
-                      bad file
-                        (Printf.sprintf "row %d: schemes.%s.clean missing" i
-                           sname))
-                srows
-          | _ -> bad file (Printf.sprintf "row %d: missing schemes" i))
-        rows
-  | None -> ()
+        (fun n ->
+          nums file ctx row [ "schemes"; n ]
+            [
+              "cycles"; "overhead"; "check"; "metadata"; "wrapper";
+              "residual";
+            ];
+          match at row [ "schemes"; n; "clean" ] with
+          | Some (Bool _) -> ()
+          | _ -> bad file (Printf.sprintf "%sschemes.%s.clean missing" ctx n))
+        columns)
 
 (* the memory artifact: measured resident sets for the paper's two
    facilities plus the related-work schemes' analytic metadata bytes *)
 let check_memory file obj =
   experiment_tag file obj "memory";
-  match require_rows file obj "workloads" with
-  | Some rows ->
-      rows_have file rows
-        [
-          "base_resident"; "hash_resident"; "shadow_resident"; "heap_allocs";
-          "cguard_meta_bytes"; "framer_meta_bytes"; "l4_ptr_meta_bytes";
-        ]
-  | None -> ()
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+  rows_have file obj "workloads"
+    [
+      "base_resident"; "hash_resident"; "shadow_resident"; "heap_allocs";
+      "cguard_meta_bytes"; "framer_meta_bytes"; "l4_ptr_meta_bytes";
+    ]
 
 let targets =
   [
@@ -352,46 +238,40 @@ let targets =
   ]
 
 (* Cross-artifact invariants.  The elim, breakdown and schemes
-   experiments each simulate the same (kernel, configuration) cells, so
-   wherever the committed files overlap they must agree: a file
+   artifacts project the same (kernel, configuration) cells of one run
+   matrix, so wherever the files overlap they must agree: a file
    regenerated after an accounting change while another was not shows
    up here, even though each still passes its own schema check. *)
 let check_cross docs =
-  let doc f = List.assoc_opt f docs in
-  let by_name obj k =
-    match field obj k with
-    | Some (List rows) ->
-        List.filter_map
-          (fun r ->
-            match field r "name" with Some (Str n) -> Some (n, r) | _ -> None)
-          rows
-    | _ -> []
-  in
-  let num_at obj path =
-    match
-      List.fold_left (fun o k -> Option.bind o (fun o -> field o k))
-        (Some obj) path
-    with
-    | Some (Num n) -> Some n
-    | _ -> None
+  let by_name f k =
+    match Option.bind (List.assoc_opt f docs) (fun d -> list_field d k) with
+    | Some rows ->
+        Some
+          (List.filter_map
+             (fun r -> Option.map (fun n -> (n, r)) (str_field r "name"))
+             rows)
+    | None -> None
   in
   match
-    ( doc "BENCH_breakdown.json",
-      doc "BENCH_elim.json",
-      doc "BENCH_schemes.json" )
+    ( by_name "BENCH_breakdown.json" "workloads",
+      by_name "BENCH_elim.json" "kernels",
+      by_name "BENCH_schemes.json" "workloads" )
   with
-  | Some bd, Some el, Some sc ->
-      let elim = by_name el "kernels" and schemes = by_name sc "workloads" in
+  | Some breakdown, Some elim, Some schemes ->
       List.iter
         (fun (name, b) ->
           match (List.assoc_opt name elim, List.assoc_opt name schemes) with
           | Some e, Some s ->
-              let agree what (pb, pe, ps) =
+              (* [cells]: (artifact, document, path) triples that must
+                 hold one and the same number *)
+              let agree what cells =
                 let cells =
-                  [
-                    ("breakdown", num_at b pb); ("elim", num_at e pe);
-                    ("schemes", num_at s ps);
-                  ]
+                  List.map
+                    (fun (f, d, path) ->
+                      match at d path with
+                      | Some (Num n) -> (f, Some n)
+                      | _ -> (f, None))
+                    cells
                 in
                 match List.map snd cells with
                 | Some v :: rest when List.for_all (( = ) (Some v)) rest -> ()
@@ -407,52 +287,131 @@ let check_cross docs =
                                cells)))
               in
               agree "base_cycles"
-                ([ "base_cycles" ], [ "base_cycles" ], [ "base_cycles" ]);
-              agree "shadow/full cycles"
-                ( [ "configs"; "shadow-full-elim"; "cycles" ],
-                  [ "shadow_full"; "on" ],
-                  [ "schemes"; "softbound-full-shadow"; "cycles" ] );
-              agree "shadow/store cycles"
-                ( [ "configs"; "shadow-store-elim"; "cycles" ],
-                  [ "shadow_store"; "on" ],
-                  [ "schemes"; "softbound-store-shadow"; "cycles" ] )
+                (List.map
+                   (fun (f, d) -> (f, d, [ "base_cycles" ]))
+                   [ ("breakdown", b); ("elim", e); ("schemes", s) ]);
+              List.iter
+                (fun (stem, _) ->
+                  let group =
+                    String.map (fun c -> if c = '-' then '_' else c) stem
+                  in
+                  let column =
+                    List.filter_map
+                      (fun (sname, label) ->
+                        if label = stem ^ "-elim" then
+                          Some ("schemes", s, [ "schemes"; sname; "cycles" ])
+                        else None)
+                      (Exp_schemes.columns ())
+                  in
+                  agree (stem ^ "-elim cycles")
+                    (("breakdown", b, [ "configs"; stem ^ "-elim"; "cycles" ])
+                    :: ("elim", e, [ group; "on" ])
+                    :: column);
+                  agree (stem ^ "-noelim cycles")
+                    [
+                      ( "breakdown", b,
+                        [ "configs"; stem ^ "-noelim"; "cycles" ] );
+                      ("elim", e, [ group; "off" ]);
+                    ])
+                Matrix.softbound_stems
           | _ ->
               bad "cross-artifact"
                 (name ^ ": in breakdown but missing from elim or schemes"))
-        (by_name bd "workloads")
+        breakdown
   | _ -> () (* an unreadable file is already reported *)
+
+(* Per-file schema checks plus the cross-artifact invariants over
+   parsed documents; failures accumulate in [errs]. *)
+let check_docs docs =
+  List.iter
+    (fun (file, obj) ->
+      (* every artifact records the host parallelism it was produced
+         with — the context for any wall-clock or jobs-scaling figure *)
+      nums file "" obj [] [ "host_cpus" ];
+      (List.assoc file targets) file obj)
+    docs;
+  check_cross docs
+
+let read_doc file =
+  match
+    let ic = open_in_bin file in
+    Fun.protect
+      ~finally:(fun () -> close_in ic)
+      (fun () -> parse (really_input_string ic (in_channel_length ic)))
+  with
+  | exception Sys_error m -> bad file ("unreadable: " ^ m); None
+  | exception Bad m -> bad file ("malformed JSON: " ^ m); None
+  | obj -> Some obj
+
+let report ok_msg =
+  match List.rev !errs with
+  | [] -> (ok_msg, true)
+  | es -> (String.concat "\n" es, false)
 
 (** Validate every committed benchmark artifact; returns the report and
     whether all checks passed. *)
 let run () : string * bool =
   errs := [];
-  let docs =
-    List.filter_map
-      (fun (file, check) ->
-        match read_file file with
-        | exception Sys_error m ->
-            bad file ("unreadable: " ^ m);
-            None
-        | text -> (
-            match parse text with
-            | exception Bad m ->
-                bad file ("malformed JSON: " ^ m);
-                None
-            | obj ->
-                (* every artifact records the host parallelism it was
-                   produced with — the context for any wall-clock or
-                   jobs-scaling figure in it *)
-                require_num file obj "host_cpus";
-                check file obj;
-                Some (file, obj)))
-      targets
+  check_docs
+    (List.filter_map
+       (fun (file, _) -> Option.map (fun d -> (file, d)) (read_doc file))
+       targets);
+  report
+    (Printf.sprintf
+       "bench-check: %d artifacts OK (%s); elim/breakdown/schemes agree"
+       (List.length targets)
+       (String.concat ", " (List.map fst targets)))
+
+(** The purely simulated artifacts, projected from one matrix. *)
+let simulated (m : Matrix.t) : (string * Json.t) list =
+  [
+    ("BENCH_elim.json", Exp_elim.(to_json (run m)));
+    ("BENCH_breakdown.json", Exp_breakdown.(to_json (run m)));
+    ("BENCH_schemes.json", Exp_schemes.(to_json (run m)));
+    ("BENCH_memory.json", Exp_memory.(to_json (run m)));
+  ]
+
+(** The first JSON path at which [committed] and [generated] differ. *)
+let rec first_diff path committed generated =
+  match (committed, generated) with
+  | Obj a, Obj b when List.map fst a = List.map fst b ->
+      List.find_map
+        (fun ((k, x), (_, y)) -> first_diff (path ^ "." ^ k) x y)
+        (List.combine a b)
+  | List a, List b when List.length a = List.length b ->
+      List.find_map
+        (fun (i, (x, y)) -> first_diff (Printf.sprintf "%s[%d]" path i) x y)
+        (List.mapi (fun i p -> (i, p)) (List.combine a b))
+  | a, b when a = b -> None
+  | a, b ->
+      let show v =
+        let s = to_string v in
+        if String.length s > 60 then String.sub s 0 57 ^ "..." else s
+      in
+      Some
+        (Printf.sprintf "%s: committed %s, generated %s" path (show a)
+           (show b))
+
+(** Regenerate the simulated artifacts at full size, check them like
+    the committed files, and require each committed file to equal its
+    regenerated tree apart from [host_cpus]. *)
+let verify_artifacts ~jobs () : string * bool =
+  errs := [];
+  let generated = simulated (Matrix.create ~jobs ~quick:false ()) in
+  check_docs generated;
+  let without_host = function
+    | Obj kvs -> Obj (List.remove_assoc "host_cpus" kvs)
+    | v -> v
   in
-  check_cross docs;
-  match List.rev !errs with
-  | [] ->
-      ( Printf.sprintf
-          "bench-check: %d artifacts OK (%s); elim/breakdown/schemes agree"
-          (List.length targets)
-          (String.concat ", " (List.map fst targets)),
-        true )
-  | es -> (String.concat "\n" es, false)
+  List.iter
+    (fun (file, gen) ->
+      Option.iter
+        (fun committed ->
+          Option.iter (bad file)
+            (first_diff "$" (without_host committed) (without_host gen)))
+        (read_doc file))
+    generated;
+  report
+    (Printf.sprintf
+       "verify-artifacts: %s regenerate identically (host_cpus aside)"
+       (String.concat ", " (List.map fst generated)))

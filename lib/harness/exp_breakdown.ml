@@ -10,74 +10,36 @@
    seed/workload set because site assignment, the interpreter, and the
    collector are all deterministic. *)
 
-module S = Interp.State
-
-type split = {
-  cname : string;  (** configuration label *)
-  cycles : int;
-  check : int;  (** site-attributed check + fptr-check cycle deltas *)
-  meta : int;  (** site-attributed metadata load/store cycle deltas *)
-  wrapper : int;  (** wrapper-inclusive cycle deltas *)
-  residual : int;  (** overhead minus the attributed buckets *)
-}
-
 type row = {
   workload : Workloads.workload;
   base_cycles : int;
-  splits : split list;
+  splits : (string * Matrix.summary) list;  (** by configuration label *)
 }
 
-let without_elim o = { o with Softbound.Config.eliminate_checks = false }
-
-(** The 8 configurations, in fixed report order. *)
-let configs : (string * Softbound.Config.options) list =
+(** The 8 configuration labels, in fixed report order:
+    {full,store} x {shadow,hash} x elim {on,off}. *)
+let configs : string list =
   List.concat_map
-    (fun (fname, opts) ->
-      [ (fname ^ "-elim", opts); (fname ^ "-noelim", without_elim opts) ])
-    [
-      ("shadow-full", Runner.sb_full_shadow);
-      ("hash-full", Runner.sb_full_hash);
-      ("shadow-store", Runner.sb_store_shadow);
-      ("hash-store", Runner.sb_store_hash);
-    ]
+    (fun (stem, _) -> [ stem ^ "-elim"; stem ^ "-noelim" ])
+    Matrix.softbound_stems
 
-let split_of ~cname ~base (r : Interp.Vm.result) : split =
-  let o = r.Interp.Vm.obs in
-  let k = Profile.site_kind_cycles o in
-  let check = k Obs.KCheck + k Obs.KCheckFptr in
-  let meta = k Obs.KMetaLoad + k Obs.KMetaStore in
-  let wrapper = Obs.wrapper_cycles o in
-  let cycles = r.Interp.Vm.stats.S.cycles in
-  {
-    cname;
-    cycles;
-    check;
-    meta;
-    wrapper;
-    residual = cycles - base - check - meta - wrapper;
-  }
-
-let run_one ?(quick = false) (w : Workloads.workload) : row =
-  let m = Runner.compile_workload w in
-  let argv = if quick then w.Workloads.quick_args else [] in
-  let base = Runner.run ~argv Runner.Unprotected m in
-  let base_cycles = base.Interp.Vm.stats.S.cycles in
-  let splits =
-    List.map
-      (fun (cname, opts) ->
-        let r = Runner.run ~argv (Runner.Softbound opts) m in
-        Runner.check_clean ~quick ~workload:w.Workloads.name ~scheme:cname r;
-        split_of ~cname ~base:base_cycles r)
-      configs
-  in
-  { workload = w; base_cycles; splits }
-
-let run ?(quick = false) ?(jobs = 1) () : row list =
-  (* deterministic fan-out: see the note on {!Exp_elim.run} *)
-  Parutil.parmap ~jobs (run_one ~quick) Workloads.all
+let run (m : Matrix.t) : row list =
+  Matrix.map_kernels m (fun w ->
+      {
+        workload = w;
+        base_cycles = (Matrix.cell m w "unprotected").Matrix.cycles;
+        splits = List.map (fun c -> (c, Matrix.clean_cell m w c)) configs;
+      })
 
 let frac part whole =
   if whole <= 0 then 0.0 else float_of_int part /. float_of_int whole
+
+(** A run's table cells: its overhead as a fraction of [base] cycles,
+    then each attribution bucket as a fraction of the overhead. *)
+let split_cells ~base (s : Matrix.summary) : string list =
+  let ov = s.Matrix.cycles - base in
+  Texttable.pct (frac ov base)
+  :: List.map (fun (_, c) -> Texttable.pct (frac c ov)) (Matrix.buckets ~base s)
 
 let render (rows : row list) : string =
   let buf = Buffer.create 4096 in
@@ -92,66 +54,50 @@ let render (rows : row list) : string =
        (List.concat_map
           (fun r ->
             List.map
-              (fun s ->
-                let ov = s.cycles - r.base_cycles in
-                [
-                  r.workload.Workloads.name;
-                  s.cname;
-                  Texttable.pct (frac ov r.base_cycles);
-                  Texttable.pct (frac s.check ov);
-                  Texttable.pct (frac s.meta ov);
-                  Texttable.pct (frac s.wrapper ov);
-                  Texttable.pct (frac s.residual ov);
-                ])
+              (fun (cname, s) ->
+                r.workload.Workloads.name :: cname
+                :: split_cells ~base:r.base_cycles s)
               r.splits)
           rows));
   (* headline aggregate: shadow/full with elimination, summed *)
-  let agg name f =
-    let tot =
-      List.fold_left
-        (fun acc r ->
-          match
-            List.find_opt (fun s -> s.cname = "shadow-full-elim") r.splits
-          with
-          | Some s -> acc + f s
-          | None -> acc)
-        0 rows
-    in
-    Printf.sprintf "  %-9s %d\n" name tot
-  in
   Buffer.add_string buf
     "\naggregate cycles over all workloads (shadow/full, elim on):\n";
-  Buffer.add_string buf (agg "check" (fun s -> s.check));
-  Buffer.add_string buf (agg "metadata" (fun s -> s.meta));
-  Buffer.add_string buf (agg "wrapper" (fun s -> s.wrapper));
-  Buffer.add_string buf (agg "residual" (fun s -> s.residual));
+  List.iter
+    (fun bucket ->
+      let tot =
+        List.fold_left
+          (fun acc r ->
+            let s = List.assoc "shadow-full-elim" r.splits in
+            acc + List.assoc bucket (Matrix.buckets ~base:r.base_cycles s))
+          0 rows
+      in
+      Buffer.add_string buf (Printf.sprintf "  %-9s %d\n" bucket tot))
+    [ "check"; "metadata"; "wrapper"; "residual" ];
   Buffer.contents buf
 
-(** Machine-readable export ([BENCH_breakdown.json]); key order and
-    formatting are fixed so two runs over the same workloads/seed are
-    byte-identical. *)
-let to_json (rows : row list) : string =
-  let buf = Buffer.create 8192 in
-  let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  add "{\n  \"experiment\": \"overhead-breakdown\",\n";
-  add "  \"host_cpus\": %d,\n" (Parutil.available_jobs ());
-  add "  \"unit\": \"simulated cycles\",\n";
-  add "  \"workloads\": [\n";
-  List.iteri
-    (fun i r ->
-      add "    {\n      \"name\": \"%s\",\n      \"base_cycles\": %d,\n"
-        r.workload.Workloads.name r.base_cycles;
-      add "      \"configs\": {\n";
-      List.iteri
-        (fun j s ->
-          add
-            "        \"%s\": { \"cycles\": %d, \"check\": %d, \"metadata\": \
-             %d, \"wrapper\": %d, \"residual\": %d }%s\n"
-            s.cname s.cycles s.check s.meta s.wrapper s.residual
-            (if j = List.length r.splits - 1 then "" else ","))
-        r.splits;
-      add "      }\n    }%s\n" (if i = List.length rows - 1 then "" else ",")
-    )
-    rows;
-  add "  ]\n}\n";
-  Buffer.contents buf
+(** Machine-readable export ([BENCH_breakdown.json]). *)
+let to_json (rows : row list) : Json.t =
+  let open Json in
+  let split base (cname, s) =
+    ( cname,
+      Obj
+        (("cycles", int s.Matrix.cycles)
+        :: List.map (fun (k, c) -> (k, int c)) (Matrix.buckets ~base s)) )
+  in
+  Obj
+    [
+      ("experiment", Str "overhead-breakdown");
+      ("host_cpus", int (Parutil.available_jobs ()));
+      ("unit", Str "simulated cycles");
+      ( "workloads",
+        List
+          (List.map
+             (fun r ->
+               Obj
+                 [
+                   ("name", Str r.workload.Workloads.name);
+                   ("base_cycles", int r.base_cycles);
+                   ("configs", Obj (List.map (split r.base_cycles) r.splits));
+                 ])
+             rows) );
+    ]

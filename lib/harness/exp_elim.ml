@@ -10,98 +10,60 @@
    paper's headline config), with detection untouched — the test suite
    re-runs the Wilander/BugBench matrix under elimination separately. *)
 
-type cell = {
-  cycles_on : int;
-  cycles_nw : int;  (** elimination on, check widening off (control) *)
-  cycles_off : int;
-  ov_on : float;  (** overhead vs uninstrumented, elimination on *)
-  ov_nw : float;  (** overhead, elimination on but [widen_checks] off *)
-  ov_off : float;  (** overhead vs uninstrumented, elimination off *)
-}
+(** One configuration's runs by variant, keyed as in the artifact:
+    ["on"], ["no_widen"] (elimination on, check widening off — the
+    control) and ["off"]. *)
+type variants = (string * Matrix.summary) list
+
+(** The variant keys, in {!Matrix.elim_variants} order. *)
+let keys = [ "on"; "no_widen"; "off" ]
 
 type row = {
   workload : Workloads.workload;
-  base_cycles : int;
-  shadow_full : cell;
-  hash_full : cell;
-  shadow_store : cell;
-  hash_store : cell;
-  checks_on : int;  (** dynamic checks executed, shadow/full, elim on *)
-  checks_nw : int;  (** same with the widening sub-passes disabled *)
-  checks_off : int;
-  metaloads_on : int;  (** dynamic metadata lookups, shadow/full, elim on *)
-  metaloads_off : int;
+  base : Matrix.summary;
+  configs : (string * variants) list;
+      (** per {!Matrix.softbound_stems} entry, e.g. ["shadow-full"] *)
   widened : int;  (** static loop-widened spans, shadow/full *)
   coalesced : int;  (** static checks folded into in-block spans *)
 }
 
-let without_elim o = { o with Softbound.Config.eliminate_checks = false }
-let without_widen o = { o with Softbound.Config.widen_checks = false }
+let run (m : Matrix.t) : row list =
+  Matrix.map_kernels m (fun w ->
+      let variants stem =
+        List.map2
+          (fun key (suffix, _) -> (key, Matrix.cell m w (stem ^ "-" ^ suffix)))
+          keys Matrix.elim_variants
+      in
+      let mi, _ =
+        Runner.instrument_cached ~opts:Runner.sb_full_shadow
+          (Runner.compile_workload w)
+      in
+      let count f = Hashtbl.fold (fun _ fn n -> n + f fn) mi.Sbir.Ir.mfuncs 0 in
+      {
+        workload = w;
+        base = Matrix.cell m w "unprotected";
+        configs =
+          List.map
+            (fun (stem, _) -> (stem, variants stem))
+            Matrix.softbound_stems;
+        widened = count Softbound.Elim.count_widened;
+        coalesced = count Softbound.Elim.count_coalesced;
+      })
 
-let run_one ?(quick = false) (w : Workloads.workload) : row =
-  let m = Runner.compile_workload w in
-  let argv = if quick then w.Workloads.quick_args else [] in
-  let base = Runner.run ~argv Runner.Unprotected m in
-  let triple opts =
-    let on = Runner.run ~argv (Runner.Softbound opts) m in
-    let nw = Runner.run ~argv (Runner.Softbound (without_widen opts)) m in
-    let off = Runner.run ~argv (Runner.Softbound (without_elim opts)) m in
-    ( {
-        cycles_on = on.stats.Interp.State.cycles;
-        cycles_nw = nw.stats.Interp.State.cycles;
-        cycles_off = off.stats.Interp.State.cycles;
-        ov_on = Runner.overhead on base;
-        ov_nw = Runner.overhead nw base;
-        ov_off = Runner.overhead off base;
-      },
-      on,
-      nw,
-      off )
-  in
-  let shadow_full, sf_on, sf_nw, sf_off = triple Runner.sb_full_shadow in
-  let hash_full, _, _, _ = triple Runner.sb_full_hash in
-  let shadow_store, _, _, _ = triple Runner.sb_store_shadow in
-  let hash_store, _, _, _ = triple Runner.sb_store_hash in
-  let widened, coalesced =
-    let mi, _ = Runner.instrument_cached ~opts:Runner.sb_full_shadow m in
-    Hashtbl.fold
-      (fun _ f (w, c) ->
-        ( w + Softbound.Elim.count_widened f,
-          c + Softbound.Elim.count_coalesced f ))
-      mi.Sbir.Ir.mfuncs (0, 0)
-  in
-  {
-    workload = w;
-    base_cycles = base.stats.Interp.State.cycles;
-    shadow_full;
-    hash_full;
-    shadow_store;
-    hash_store;
-    checks_on = sf_on.stats.Interp.State.checks;
-    checks_nw = sf_nw.stats.Interp.State.checks;
-    checks_off = sf_off.stats.Interp.State.checks;
-    metaloads_on = sf_on.stats.Interp.State.meta_loads;
-    metaloads_off = sf_off.stats.Interp.State.meta_loads;
-    widened;
-    coalesced;
-  }
+let run_of r stem key = List.assoc key (List.assoc stem r.configs)
+let ov r stem key = Matrix.overhead ~base:r.base (run_of r stem key)
 
-let run ?(quick = false) ?(jobs = 1) () : row list =
-  (* rows come back in [Workloads.all] order regardless of [jobs], and
-     each row's simulated numbers are per-VM — so the rendered table and
-     JSON are byte-identical to a sequential run *)
-  Parutil.parmap ~jobs (run_one ~quick) Workloads.all
-
-(** Geometric mean of the cycle ratios (instrumented / base), reported
-    as an overhead — the acceptance metric. *)
-let geomean_ov (cell_of : row -> cell) (value : cell -> float)
-    (rows : row list) : float =
+(** Geometric mean of the cycle ratios (instrumented / base) of one
+    configuration's variant, reported as an overhead — the acceptance
+    metric. *)
+let geomean_ov stem key (rows : row list) : float =
   let log_sum =
-    List.fold_left
-      (fun acc r -> acc +. log (1.0 +. value (cell_of r)))
-      0.0 rows
+    List.fold_left (fun acc r -> acc +. log (1.0 +. ov r stem key)) 0.0 rows
   in
   exp (log_sum /. float_of_int (List.length rows)) -. 1.0
+
+let stems = List.map fst Matrix.softbound_stems
+let rename c s = String.map (fun x -> if x = '-' then c else x) s
 
 let render (rows : row list) : string =
   let buf = Buffer.create 4096 in
@@ -115,34 +77,32 @@ let render (rows : row list) : string =
            "saved"; "checks on/nw/off"; "widened"; "coalesced" ]
        (List.map
           (fun r ->
-            let c = r.shadow_full in
+            let ov = ov r "shadow-full" in
+            let checks k = (run_of r "shadow-full" k).Matrix.checks in
             [
               r.workload.Workloads.name;
-              Texttable.pct c.ov_on;
-              Texttable.pct c.ov_nw;
-              Texttable.pct c.ov_off;
-              Texttable.pct (c.ov_off -. c.ov_on);
-              Printf.sprintf "%d/%d/%d" r.checks_on r.checks_nw r.checks_off;
+              Texttable.pct (ov "on");
+              Texttable.pct (ov "no_widen");
+              Texttable.pct (ov "off");
+              Texttable.pct (ov "off" -. ov "on");
+              Printf.sprintf "%d/%d/%d" (checks "on") (checks "no_widen")
+                (checks "off");
               Printf.sprintf "%d" r.widened;
               Printf.sprintf "%d" r.coalesced;
             ])
           rows));
-  let gm cell_of v = geomean_ov cell_of v rows in
-  let line name cell_of =
-    Printf.sprintf
-      "  %-13s %s -> %s -> %s  (geomean overhead off -> no-widen -> on)\n"
-      name
-      (Texttable.pct (gm cell_of (fun c -> c.ov_off)))
-      (Texttable.pct (gm cell_of (fun c -> c.ov_nw)))
-      (Texttable.pct (gm cell_of (fun c -> c.ov_on)))
-  in
+  let gm stem key = Texttable.pct (geomean_ov stem key rows) in
   Buffer.add_string buf "\ngeometric-mean overheads across the 15 kernels:\n";
-  Buffer.add_string buf (line "shadow/full" (fun r -> r.shadow_full));
-  Buffer.add_string buf (line "hash/full" (fun r -> r.hash_full));
-  Buffer.add_string buf (line "shadow/store" (fun r -> r.shadow_store));
-  Buffer.add_string buf (line "hash/store" (fun r -> r.hash_store));
-  let sf_off = gm (fun r -> r.shadow_full) (fun c -> c.ov_off) in
-  let sf_on = gm (fun r -> r.shadow_full) (fun c -> c.ov_on) in
+  List.iter
+    (fun stem ->
+      Buffer.add_string buf
+        (Printf.sprintf
+           "  %-13s %s -> %s -> %s  (geomean overhead off -> no-widen -> on)\n"
+           (rename '/' stem) (gm stem "off") (gm stem "no_widen")
+           (gm stem "on")))
+    stems;
+  let sf_off = geomean_ov "shadow-full" "off" rows in
+  let sf_on = geomean_ov "shadow-full" "on" rows in
   Buffer.add_string buf
     (Printf.sprintf
        "\nacceptance (shadow/full): elimination %s the geomean overhead \
@@ -153,56 +113,40 @@ let render (rows : row list) : string =
 
 (** Machine-readable per-kernel cycles for the perf trajectory
     ([BENCH_elim.json]). *)
-let to_json (rows : row list) : string =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\n  \"experiment\": \"elim-ablation\",\n";
-  Buffer.add_string buf
-    (Printf.sprintf "  \"host_cpus\": %d,\n" (Parutil.available_jobs ()));
-  Buffer.add_string buf "  \"unit\": \"simulated cycles\",\n";
-  Buffer.add_string buf "  \"kernels\": [\n";
-  List.iteri
-    (fun i r ->
-      let cell name c =
-        Printf.sprintf
-          "      \"%s\": { \"on\": %d, \"no_widen\": %d, \"off\": %d, \
-           \"overhead_on\": %.4f, \"overhead_no_widen\": %.4f, \
-           \"overhead_off\": %.4f }"
-          name c.cycles_on c.cycles_nw c.cycles_off c.ov_on c.ov_nw c.ov_off
-      in
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\n      \"name\": \"%s\",\n      \"base_cycles\": %d,\n\
-            %s,\n%s,\n%s,\n%s,\n\
-           \      \"checks\": { \"on\": %d, \"no_widen\": %d, \"off\": %d },\n\
-           \      \"meta_loads\": { \"on\": %d, \"off\": %d },\n\
-           \      \"checks_widened\": %d,\n\
-           \      \"checks_coalesced\": %d\n    }%s\n"
-           r.workload.Workloads.name r.base_cycles
-           (cell "shadow_full" r.shadow_full)
-           (cell "hash_full" r.hash_full)
-           (cell "shadow_store" r.shadow_store)
-           (cell "hash_store" r.hash_store)
-           r.checks_on r.checks_nw r.checks_off r.metaloads_on r.metaloads_off
-           r.widened r.coalesced
-           (if i = List.length rows - 1 then "" else ",")))
-    rows;
-  Buffer.add_string buf "  ],\n";
-  let geo cell_of =
-    Printf.sprintf
-      "{ \"on\": %.4f, \"no_widen\": %.4f, \"off\": %.4f }"
-      (geomean_ov cell_of (fun c -> c.ov_on) rows)
-      (geomean_ov cell_of (fun c -> c.ov_nw) rows)
-      (geomean_ov cell_of (fun c -> c.ov_off) rows)
+let to_json (rows : row list) : Json.t =
+  let open Json in
+  let kernel r =
+    let counts f keys =
+      Obj (List.map (fun k -> (k, int (f (run_of r "shadow-full" k)))) keys)
+    in
+    let config (stem, vs) =
+      ( rename '_' stem,
+        Obj
+          (List.map (fun (k, s) -> (k, int s.Matrix.cycles)) vs
+          @ List.map
+              (fun (k, _) -> ("overhead_" ^ k, ratio (ov r stem k)))
+              vs) )
+    in
+    Obj
+      ([ ("name", Str r.workload.Workloads.name);
+         ("base_cycles", int r.base.Matrix.cycles) ]
+      @ List.map config r.configs
+      @ [
+          ("checks", counts (fun s -> s.Matrix.checks) keys);
+          ("meta_loads", counts (fun s -> s.Matrix.meta_loads) [ "on"; "off" ]);
+          ("checks_widened", int r.widened);
+          ("checks_coalesced", int r.coalesced);
+        ])
   in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"geomean_overhead\": {\n\
-       \    \"shadow_full\": %s,\n\
-       \    \"hash_full\": %s,\n\
-       \    \"shadow_store\": %s,\n\
-       \    \"hash_store\": %s\n  }\n}\n"
-       (geo (fun r -> r.shadow_full))
-       (geo (fun r -> r.hash_full))
-       (geo (fun r -> r.shadow_store))
-       (geo (fun r -> r.hash_store)));
-  Buffer.contents buf
+  let geo stem =
+    ( rename '_' stem,
+      Obj (List.map (fun k -> (k, ratio (geomean_ov stem k rows))) keys) )
+  in
+  Obj
+    [
+      ("experiment", Str "elim-ablation");
+      ("host_cpus", int (Parutil.available_jobs ()));
+      ("unit", Str "simulated cycles");
+      ("kernels", List (List.map kernel rows));
+      ("geomean_overhead", Obj (List.map geo stems));
+    ]

@@ -2,29 +2,12 @@
    per benchmark, in the paper's sorted presentation order (SPEC shaded
    dark in the original plot). *)
 
-type row = {
-  workload : Workloads.workload;
-  ptr_fraction : float;
-  mem_ops : int;
-  insts : int;
-}
+type row = { workload : Workloads.workload; ptr_fraction : float }
 
-let run_one ?(quick = false) (w : Workloads.workload) : row =
-  let m = Runner.compile_workload w in
-  let argv = if quick then w.Workloads.quick_args else [] in
-  let r = Runner.run ~argv Runner.Unprotected m in
-  Runner.check_clean ~quick ~workload:w.Workloads.name
-    ~scheme:(Runner.scheme_name Runner.Unprotected)
-    r;
-  {
-    workload = w;
-    ptr_fraction = Runner.pointer_op_fraction r;
-    mem_ops = r.stats.Interp.State.mem_reads + r.stats.Interp.State.mem_writes;
-    insts = r.stats.Interp.State.insts;
-  }
-
-let run ?(quick = false) () : row list =
-  List.map (run_one ~quick) Workloads.all
+let run (m : Matrix.t) : row list =
+  Matrix.map_kernels m (fun w ->
+      let base = Matrix.clean_cell m w "unprotected" in
+      { workload = w; ptr_fraction = base.Matrix.ptr_fraction })
 
 let bar frac =
   let width = int_of_float (frac *. 60.0) in

@@ -7,42 +7,36 @@
    pointer-heavy (right side) >> scalar (left side), store-only below 15%
    for at least half of the benchmarks. *)
 
+(** The figure's columns, as (header, matrix label): the four SoftBound
+    configurations, then related-work schemes as print-only context for
+    the SoftBound shape checks (the committed scheme artifact is
+    BENCH_schemes.json). *)
+let columns =
+  [
+    ("hash/full", "hash-full-elim"); ("shadow/full", "shadow-full-elim");
+    ("hash/store", "hash-store-elim"); ("shadow/store", "shadow-store-elim");
+    ("cguard", "cguard"); ("framer", "framer"); ("l4-ptr", "l4-pointer");
+  ]
+
 type row = {
   workload : Workloads.workload;
   base_cycles : int;
-  hash_full : float;
-  shadow_full : float;
-  hash_store : float;
-  shadow_store : float;
-  cguard : float;
-  framer : float;
-  l4_pointer : float;
-      (** related-work scheme columns (print-only context for the
-          SoftBound shape checks; the committed scheme artifact is
-          BENCH_schemes.json) *)
+  overheads : (string * float) list;  (** by matrix label *)
 }
 
-let run_one ?(quick = false) (w : Workloads.workload) : row =
-  let m = Runner.compile_workload w in
-  let argv = if quick then w.Workloads.quick_args else [] in
-  let base = Runner.run ~argv Runner.Unprotected m in
-  let ovs scheme = Runner.overhead (Runner.run ~argv scheme m) base in
-  let ov opts = ovs (Runner.Softbound opts) in
-  let ov_registered name = ovs (Runner.Scheme (Schemes.get name)) in
-  {
-    workload = w;
-    base_cycles = base.stats.Interp.State.cycles;
-    hash_full = ov Runner.sb_full_hash;
-    shadow_full = ov Runner.sb_full_shadow;
-    hash_store = ov Runner.sb_store_hash;
-    shadow_store = ov Runner.sb_store_shadow;
-    cguard = ov_registered "cguard";
-    framer = ov_registered "framer";
-    l4_pointer = ov_registered "l4-pointer";
-  }
+let run (m : Matrix.t) : row list =
+  Matrix.map_kernels m (fun w ->
+      let base = Matrix.cell m w "unprotected" in
+      let ov (_, label) =
+        (label, Matrix.overhead ~base (Matrix.cell m w label))
+      in
+      {
+        workload = w;
+        base_cycles = base.Matrix.cycles;
+        overheads = List.map ov columns;
+      })
 
-let run ?(quick = false) () : row list =
-  List.map (run_one ~quick) Workloads.all
+let ov label r = List.assoc label r.overheads
 
 let avg f rows =
   List.fold_left (fun a r -> a +. f r) 0.0 rows /. float_of_int (List.length rows)
@@ -51,50 +45,22 @@ let render (rows : row list) : string =
   let buf = Buffer.create 2048 in
   Buffer.add_string buf
     "Figure 2: runtime overhead of SoftBound (simulated cycles vs uninstrumented)\n";
+  let pcts f = List.map (fun (_, label) -> Texttable.pct (f label)) columns in
   Buffer.add_string buf
     (Texttable.render
-       ~headers:
-         [ "benchmark"; "base Mcycles"; "hash/full"; "shadow/full";
-           "hash/store"; "shadow/store"; "cguard"; "framer"; "l4-ptr" ]
+       ~headers:("benchmark" :: "base Mcycles" :: List.map fst columns)
        (List.map
           (fun r ->
-            [
-              r.workload.Workloads.name;
-              Printf.sprintf "%.2f" (float_of_int r.base_cycles /. 1e6);
-              Texttable.pct r.hash_full;
-              Texttable.pct r.shadow_full;
-              Texttable.pct r.hash_store;
-              Texttable.pct r.shadow_store;
-              Texttable.pct r.cguard;
-              Texttable.pct r.framer;
-              Texttable.pct r.l4_pointer;
-            ])
+            r.workload.Workloads.name
+            :: Printf.sprintf "%.2f" (float_of_int r.base_cycles /. 1e6)
+            :: pcts (fun label -> ov label r))
           rows
-       @ [
-           [
-             "average";
-             "";
-             Texttable.pct (avg (fun r -> r.hash_full) rows);
-             Texttable.pct (avg (fun r -> r.shadow_full) rows);
-             Texttable.pct (avg (fun r -> r.hash_store) rows);
-             Texttable.pct (avg (fun r -> r.shadow_store) rows);
-             Texttable.pct (avg (fun r -> r.cguard) rows);
-             Texttable.pct (avg (fun r -> r.framer) rows);
-             Texttable.pct (avg (fun r -> r.l4_pointer) rows);
-           ];
-         ]));
+       @ [ "average" :: "" :: pcts (fun label -> avg (ov label) rows) ]));
   (* shape checks against the paper *)
   let n = List.length rows in
-  let store_below_15 =
-    List.length (List.filter (fun r -> r.shadow_store < 0.15) rows)
-  in
-  let hash_ge_shadow =
-    List.length (List.filter (fun r -> r.hash_full >= r.shadow_full -. 0.02) rows)
-  in
-  let full_ge_store =
-    List.length
-      (List.filter (fun r -> r.shadow_full >= r.shadow_store -. 0.02) rows)
-  in
+  let hf = ov "hash-full-elim" and sf = ov "shadow-full-elim" in
+  let ss = ov "shadow-store-elim" in
+  let count p = List.length (List.filter p rows) in
   Buffer.add_string buf
     (Printf.sprintf
        "\nshape vs paper:\n\
@@ -103,8 +69,10 @@ let render (rows : row list) : string =
        \  store-only below 15%%:              %d/%d benchmarks (paper: more than half)\n\
        \  averages (paper: hash/full 127%%, shadow/full 79%%, shadow/store 32%%)\n\
        \    measured: hash/full %s, shadow/full %s, shadow/store %s\n"
-       hash_ge_shadow n full_ge_store n store_below_15 n
-       (Texttable.pct (avg (fun r -> r.hash_full) rows))
-       (Texttable.pct (avg (fun r -> r.shadow_full) rows))
-       (Texttable.pct (avg (fun r -> r.shadow_store) rows)));
+       (count (fun r -> hf r >= sf r -. 0.02)) n
+       (count (fun r -> sf r >= ss r -. 0.02)) n
+       (count (fun r -> ss r < 0.15)) n
+       (Texttable.pct (avg hf rows))
+       (Texttable.pct (avg sf rows))
+       (Texttable.pct (avg ss rows)));
   Buffer.contents buf

@@ -31,28 +31,20 @@ type row = {
   l4_ptr_meta : int;  (** 8 B widening per stored pointer slot *)
 }
 
-let run_one ?(quick = true) (w : Workloads.workload) : row =
-  let m = Runner.compile_workload w in
-  let argv = if quick then w.Workloads.quick_args else [] in
-  let base = Runner.run ~argv Runner.Unprotected m in
-  let hash = Runner.run ~argv (Runner.Softbound Runner.sb_full_hash) m in
-  let shadow = Runner.run ~argv (Runner.Softbound Runner.sb_full_shadow) m in
-  let scheme name = Runner.run ~argv (Runner.Scheme (Schemes.get name)) m in
-  let cguard = scheme "cguard" and framer = scheme "framer" in
-  let l4 = scheme "l4-pointer" in
-  {
-    workload = w;
-    base_resident = base.resident_bytes;
-    hash_resident = hash.resident_bytes;
-    shadow_resident = shadow.resident_bytes;
-    heap_allocs = base.heap_allocs;
-    cguard_meta = 16 * cguard.heap_allocs;
-    framer_meta = 8 * framer.heap_allocs;
-    l4_ptr_meta = 8 * l4.stats.Interp.State.meta_stores;
-  }
-
-let run ?(quick = true) () : row list =
-  List.map (run_one ~quick) Workloads.all
+let run (m : Matrix.t) : row list =
+  Matrix.map_kernels m (fun w ->
+      let cell = Matrix.cell m w in
+      let base = cell "unprotected" in
+      {
+        workload = w;
+        base_resident = base.Matrix.resident_bytes;
+        hash_resident = (cell "hash-full-elim").Matrix.resident_bytes;
+        shadow_resident = (cell "shadow-full-elim").Matrix.resident_bytes;
+        heap_allocs = base.Matrix.heap_allocs;
+        cguard_meta = 16 * (cell "cguard").Matrix.heap_allocs;
+        framer_meta = 8 * (cell "framer").Matrix.heap_allocs;
+        l4_ptr_meta = 8 * (cell "l4-pointer").Matrix.meta_stores;
+      })
 
 let render (rows : row list) : string =
   Texttable.render
@@ -81,25 +73,26 @@ let render (rows : row list) : string =
 
 (** Machine-readable record ([BENCH_memory.json], schema pinned by
     {!Bench_check}). *)
-let to_json (rows : row list) : string =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\n  \"experiment\": \"memory\",\n";
-  Buffer.add_string buf
-    (Printf.sprintf "  \"host_cpus\": %d,\n" (Parutil.available_jobs ()));
-  Buffer.add_string buf "  \"unit\": \"bytes\",\n";
-  Buffer.add_string buf "  \"workloads\": [\n";
-  List.iteri
-    (fun i r ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    { \"name\": \"%s\", \"base_resident\": %d, \
-            \"hash_resident\": %d, \"shadow_resident\": %d, \
-            \"heap_allocs\": %d, \"cguard_meta_bytes\": %d, \
-            \"framer_meta_bytes\": %d, \"l4_ptr_meta_bytes\": %d }%s\n"
-           r.workload.Workloads.name r.base_resident r.hash_resident
-           r.shadow_resident r.heap_allocs r.cguard_meta r.framer_meta
-           r.l4_ptr_meta
-           (if i = List.length rows - 1 then "" else ",")))
-    rows;
-  Buffer.add_string buf "  ]\n}\n";
-  Buffer.contents buf
+let to_json (rows : row list) : Json.t =
+  Json.Obj
+    [
+      ("experiment", Json.Str "memory");
+      ("host_cpus", Json.int (Parutil.available_jobs ()));
+      ("unit", Json.Str "bytes");
+      ( "workloads",
+        Json.List
+          (List.map
+             (fun r ->
+               Json.Obj
+                 [
+                   ("name", Json.Str r.workload.Workloads.name);
+                   ("base_resident", Json.int r.base_resident);
+                   ("hash_resident", Json.int r.hash_resident);
+                   ("shadow_resident", Json.int r.shadow_resident);
+                   ("heap_allocs", Json.int r.heap_allocs);
+                   ("cguard_meta_bytes", Json.int r.cguard_meta);
+                   ("framer_meta_bytes", Json.int r.framer_meta);
+                   ("l4_ptr_meta_bytes", Json.int r.l4_ptr_meta);
+                 ])
+             rows) );
+    ]

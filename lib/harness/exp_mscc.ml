@@ -10,22 +10,11 @@ type row = {
   mscc : float;
 }
 
-let run_one ?(quick = false) (w : Workloads.workload) : row =
-  let m = Runner.compile_workload w in
-  let argv = if quick then w.Workloads.quick_args else [] in
-  let base = Runner.run ~argv Runner.Unprotected m in
-  {
-    workload = w;
-    softbound =
-      Runner.overhead (Runner.run ~argv (Runner.Softbound Runner.sb_full_shadow) m) base;
-    mscc =
-      Runner.overhead
-        (Runner.run ~argv (Runner.Scheme (Schemes.get "mscc")) m)
-        base;
-  }
-
-let run ?(quick = false) () : row list =
-  List.map (run_one ~quick) Workloads.all
+let run (m : Matrix.t) : row list =
+  Matrix.map_kernels m (fun w ->
+      let base = Matrix.cell m w "unprotected" in
+      let ov label = Matrix.overhead ~base (Matrix.cell m w label) in
+      { workload = w; softbound = ov "shadow-full-elim"; mscc = ov "mscc" })
 
 let render (rows : row list) : string =
   let avg f =

@@ -1,11 +1,12 @@
-(* Minimal JSON: a recursive-descent parser and a compact emitter.
+(* Minimal JSON: a recursive-descent parser, a compact emitter and an
+   indented one.
 
-   Grown out of the benchmark-artifact validator, this is now shared by
-   every harness component that speaks JSON — [Bench_check] (reading
-   the committed BENCH_*.json files), and the [serve] protocol (one
-   request and one response object per line).  No external dependency:
-   the toolchain image carries no JSON library, and the subset needed
-   here — objects, arrays, strings, numbers, booleans, null — is small
+   Shared by every harness component that speaks JSON — the simulated
+   experiments (writing the committed BENCH_*.json files with
+   [pretty]), [Bench_check] (reading them back), and the [serve]
+   protocol (one request and one response object per line).  No
+   external dependency: the toolchain image carries no JSON library,
+   and the subset needed here — objects, arrays, strings, numbers, booleans, null — is small
    enough to keep in one file.
 
    The emitter is deterministic: keys print in the order the caller
@@ -193,6 +194,40 @@ let to_string (v : t) : string =
   emit v;
   Buffer.contents b
 
+(** Indented form for committed artifact files: a container whose
+    members are all scalars prints on one line, any other container
+    prints one member per line.  Parses back to the same tree. *)
+let pretty (v : t) : string =
+  let b = Buffer.create 4096 in
+  let rec emit indent v =
+    let open_, close, members =
+      match v with
+      | List vs -> ("[", "]", List.map (fun v -> ("", v)) vs)
+      | Obj kvs ->
+          ("{", "}", List.map (fun (k, v) -> (to_string (Str k) ^ ": ", v)) kvs)
+      | v -> ("", to_string v, [])
+    in
+    let nested = function _, (List _ | Obj _) -> true | _ -> false in
+    let inner = indent ^ "  " in
+    let sep, pad, last =
+      if List.exists nested members then
+        (",\n" ^ inner, "\n" ^ inner, "\n" ^ indent)
+      else (", ", " ", " ")
+    in
+    Buffer.add_string b open_;
+    if members <> [] then Buffer.add_string b pad;
+    List.iteri
+      (fun i (key, v) ->
+        if i > 0 then Buffer.add_string b sep;
+        Buffer.add_string b key;
+        emit inner v)
+      members;
+    if members <> [] then Buffer.add_string b last;
+    Buffer.add_string b close
+  in
+  emit "" v;
+  Buffer.contents b
+
 (* ------------------------------------------------------------------ *)
 (* Accessors                                                            *)
 (* ------------------------------------------------------------------ *)
@@ -218,3 +253,6 @@ let list_field v k =
 let int (n : int) : t = Num (float_of_int n)
 
 let ms (seconds : float) : t = Num (Float.round (seconds *. 1e6) /. 1e3)
+
+(** A ratio rounded to 4 decimals, as the artifact files record it. *)
+let ratio (x : float) : t = Num (float_of_string (Printf.sprintf "%.4f" x))

@@ -24,5 +24,6 @@ let () =
       ("engines", Test_engines.suite);
       ("adversary", Test_adversary.suite);
       ("parallel", Test_par.suite);
+      ("matrix", Test_matrix.suite);
       ("serve", Test_serve.suite);
     ]

@@ -134,8 +134,8 @@ let suite =
         let before = Harness.Runner.transforms_performed () in
         let sweep () =
           List.iter
-            (fun (_, opts) ->
-              ignore (Harness.Runner.run (Harness.Runner.Softbound opts) m))
+            (fun label ->
+              ignore (Harness.Runner.run (Harness.Matrix.scheme label) m))
             Harness.Exp_breakdown.configs
         in
         sweep ();

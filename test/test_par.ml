@@ -69,18 +69,17 @@ let suite =
         Alcotest.(check string) "rendered report" (Fuzz.render seq)
           (Fuzz.render par));
     tc "experiment rows: parallel fan-out equals sequential run" (fun () ->
-        (* a slice of the elim matrix: enough to drive the shared
-           transform/compile caches from several domains at once *)
-        let ws =
-          List.filter
-            (fun w ->
-              List.mem w.Workloads.name
-                [ "compress"; "bisort"; "treeadd"; "mst" ])
-            Workloads.all
-        in
-        let seq = List.map (Harness.Exp_elim.run_one ~quick:true) ws in
+        (* the four simulated artifacts from a quick matrix fanned out
+           over 4 domains, against the shared sequential one: the
+           projections drive the matrix and the transform/compile
+           caches from several domains at once *)
         let par =
-          P.parmap ~jobs:4 (Harness.Exp_elim.run_one ~quick:true) ws
+          Harness.Bench_check.simulated
+            (Harness.Matrix.create ~jobs:4 ~quick:true ())
         in
-        Alcotest.(check bool) "identical rows" true (seq = par));
+        List.iter2
+          (fun (file, seq) (_, par) ->
+            if seq <> par then Alcotest.failf "%s differs at jobs 4" file)
+          (Lazy.force Test_matrix.quick_artifacts)
+          par);
   ]

@@ -99,23 +99,66 @@ let registry_tests =
 
 let cross_tests =
   let module B = Harness.Bench_check in
-  let docs ~elim_on =
-    let j = Harness.Json.parse in
+  (* one kernel on which every shared cell agrees, except the cell
+     [stale] names (artifact, key), which is one cycle short *)
+  let docs ?(stale = ("", "")) () =
+    let open Harness.Json in
+    let num file key n = int (if stale = (file, key) then n - 1 else n) in
+    let stems =
+      [
+        ("shadow-full", "shadow_full", 15, 20);
+        ("hash-full", "hash_full", 16, 21);
+        ("shadow-store", "shadow_store", 12, 14);
+        ("hash-store", "hash_store", 13, 15);
+      ]
+    in
+    let row rows_key fields =
+      Obj
+        [
+          ( rows_key,
+            List [ Obj (("name", Str "k") :: ("base_cycles", int 10) :: fields) ]
+          );
+        ]
+    in
+    let cycles file key n = Obj [ ("cycles", num file key n) ] in
     [
       ( "BENCH_breakdown.json",
-        j {|{"workloads":[{"name":"k","base_cycles":10,"configs":{
-             "shadow-full-elim":{"cycles":15},
-             "shadow-store-elim":{"cycles":12}}}]}|} );
+        row "workloads"
+          [
+            ( "configs",
+              Obj
+                (List.concat_map
+                   (fun (stem, _, on, off) ->
+                     [
+                       (stem ^ "-elim", cycles "breakdown" (stem ^ "-elim") on);
+                       ( stem ^ "-noelim",
+                         cycles "breakdown" (stem ^ "-noelim") off );
+                     ])
+                   stems) );
+          ] );
       ( "BENCH_elim.json",
-        j
-          (Printf.sprintf
-             {|{"kernels":[{"name":"k","base_cycles":10,
-               "shadow_full":{"on":%d},"shadow_store":{"on":12}}]}|}
-             elim_on) );
+        row "kernels"
+          (List.map
+             (fun (_, group, on, off) ->
+               ( group,
+                 Obj
+                   [
+                     ("on", num "elim" (group ^ ".on") on);
+                     ("off", num "elim" (group ^ ".off") off);
+                   ] ))
+             stems) );
       ( "BENCH_schemes.json",
-        j {|{"workloads":[{"name":"k","base_cycles":10,"schemes":{
-             "softbound-full-shadow":{"cycles":15},
-             "softbound-store-shadow":{"cycles":12}}}]}|} );
+        row "workloads"
+          [
+            ( "schemes",
+              Obj
+                [
+                  ( "softbound-full-shadow",
+                    cycles "schemes" "softbound-full-shadow" 15 );
+                  ( "softbound-store-shadow",
+                    cycles "schemes" "softbound-store-shadow" 12 );
+                ] );
+          ] );
     ]
   in
   let errors d =
@@ -125,13 +168,26 @@ let cross_tests =
   in
   [
     tc "bench-check: shared cells agree across artifacts" (fun () ->
-        Alcotest.(check int) "agreeing files" 0 (errors (docs ~elim_on:15));
-        Alcotest.(check int) "one stale cell" 1 (errors (docs ~elim_on:14)));
+        Alcotest.(check int) "agreeing files" 0 (errors (docs ()));
+        List.iter
+          (fun stale ->
+            Alcotest.(check int)
+              (Printf.sprintf "stale %s %s" (fst stale) (snd stale))
+              1
+              (errors (docs ~stale ())))
+          [
+            ("elim", "shadow_full.on");
+            ("schemes", "softbound-store-shadow");
+            ("elim", "hash_full.on");
+            ("breakdown", "hash-store-elim");
+            ("elim", "shadow_store.off");
+            ("breakdown", "hash-full-noelim");
+          ]);
   ]
 
 (* ---- the completeness-gap matrix, every cell pinned ---- *)
 
-(* expected Detected cells per attack, in Exp_schemes.schemes order:
+(* expected Detected cells per attack, in Exp_schemes.columns order:
    [sb-full; sb-store; mscc; cguard; framer; l4-pointer; jones-kelly;
    memcheck-like; mudflap-like] *)
 let expected_matrix =
@@ -153,6 +209,12 @@ let expected_matrix =
       [ true; false; true; true; true; true; true; false; true ] );
   ]
 
+(* the scheme matrix's columns with their configurations *)
+let schemes =
+  List.map
+    (fun (sname, label) -> (sname, Harness.Matrix.scheme label))
+    (Harness.Exp_schemes.columns ())
+
 let gap_matrix_tests =
   [
     tc "gap matrix: every cell is exactly as documented" (fun () ->
@@ -173,7 +235,7 @@ let gap_matrix_tests =
                 Alcotest.(check bool)
                   (Printf.sprintf "%s under %s" attack sname)
                   want det)
-              Harness.Exp_schemes.schemes expected)
+              schemes expected)
           Schemes.gap_attacks);
     tc "gap matrix: full SoftBound strictly dominates every other scheme"
       (fun () ->
@@ -192,7 +254,7 @@ let gap_matrix_tests =
                 (List.exists
                    (fun (_, cells) -> not (List.nth cells i))
                    expected_matrix))
-          Harness.Exp_schemes.schemes);
+          schemes);
     tc "gap matrix: surviving attacks still corrupt under no protection"
       (fun () ->
         (* sanity that the attacks are real violations: the adjacent
