@@ -74,25 +74,24 @@ let render (rows : row list) : string =
 (** Machine-readable record ([BENCH_memory.json], schema pinned by
     {!Bench_check}). *)
 let to_json (rows : row list) : Json.t =
-  Json.Obj
+  let open Json in
+  let row r =
+    Obj
+      [
+        ("name", Str r.workload.Workloads.name);
+        ("base_resident", int r.base_resident);
+        ("hash_resident", int r.hash_resident);
+        ("shadow_resident", int r.shadow_resident);
+        ("heap_allocs", int r.heap_allocs);
+        ("cguard_meta_bytes", int r.cguard_meta);
+        ("framer_meta_bytes", int r.framer_meta);
+        ("l4_ptr_meta_bytes", int r.l4_ptr_meta);
+      ]
+  in
+  Obj
     [
-      ("experiment", Json.Str "memory");
-      ("host_cpus", Json.int (Parutil.available_jobs ()));
-      ("unit", Json.Str "bytes");
-      ( "workloads",
-        Json.List
-          (List.map
-             (fun r ->
-               Json.Obj
-                 [
-                   ("name", Json.Str r.workload.Workloads.name);
-                   ("base_resident", Json.int r.base_resident);
-                   ("hash_resident", Json.int r.hash_resident);
-                   ("shadow_resident", Json.int r.shadow_resident);
-                   ("heap_allocs", Json.int r.heap_allocs);
-                   ("cguard_meta_bytes", Json.int r.cguard_meta);
-                   ("framer_meta_bytes", Json.int r.framer_meta);
-                   ("l4_ptr_meta_bytes", Json.int r.l4_ptr_meta);
-                 ])
-             rows) );
+      ("experiment", Str "memory");
+      ("host_cpus", int (Parutil.available_jobs ()));
+      ("unit", Str "bytes");
+      ("workloads", List (List.map row rows));
     ]

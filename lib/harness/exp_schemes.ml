@@ -24,7 +24,9 @@ let columns () : (string * string) list =
 type row = {
   workload : Workloads.workload;
   base : Matrix.summary;  (** the unprotected run *)
-  srows : (string * Matrix.summary) list;  (** by column name *)
+  srows : (string * Matrix.summary) list;
+      (** by column name; a run that does not exit 0 is recorded
+          ([clean = false]), not fatal *)
 }
 
 (** One attack of the gap suite: which schemes detect it. *)
