@@ -130,11 +130,14 @@ schemes-smoke:
 
 # check-widening smoke: a fixed affine-loop program profiled through
 # the real binary must report widened spans (checks_widened > 0) and
-# identical simulated output with widening on and off.  (The elim
-# artifact itself is covered by verify-artifacts.)
+# identical simulated output with widening on and off.  The array is on
+# the heap: a stack or global one would have its checks discharged
+# statically, leaving nothing to widen.  (The elim artifact itself is
+# covered by verify-artifacts.)
 elim-smoke:
 	@printf '%s\n' \
-	  'int main(void) { int a[64]; int i; int s = 0;' \
+	  'int main(void) { int *a = (int *)malloc(64 * sizeof(int));' \
+	  'int i; int s = 0;' \
 	  'for (i = 0; i < 64; i = i + 1) a[i] = i;' \
 	  'for (i = 0; i < 64; i = i + 1) s += a[i];' \
 	  'printf("%d\n", s); return 0; }' \

@@ -241,13 +241,13 @@ let check_cmd =
     "run under SoftBound (full checking unless $(b,--mode) overrides); \
      exit 0 iff no spatial violation"
   in
-  let f src mode facility no_elim no_widen engine =
+  let f src mode facility no_elim no_widen engine args =
     report_err (fun () ->
         let m = Softbound.compile (read_file src) in
         let r =
           Softbound.run_protected
             ~opts:(opts_of ~no_elim ~no_widen mode facility false)
-            ~cfg:{ Interp.State.default_config with engine }
+            ~cfg:{ Interp.State.default_config with engine; argv = args }
             m
         in
         match r.outcome with
@@ -265,7 +265,7 @@ let check_cmd =
     (Cmd.info "check" ~doc)
     Term.(
       const f $ src_arg $ mode_arg $ facility_arg $ no_elim_arg $ no_widen_arg
-      $ engine_arg)
+      $ engine_arg $ prog_args)
 
 (* ---- dump-ir ---- *)
 

@@ -512,7 +512,7 @@ let widen_one (f : func) (dom : Dom.t) (loops : Dom.loop list)
               let spans =
                 List.concat_map
                   (fun (_, (p, base, bound, w, site), af, in_header) ->
-                    let chain, first = Scev.clone_chain sc ~fresh af p in
+                    let chain, first = Scev.clone_chain ~fresh af p in
                     chain
                     @ [
                         CheckSpan
@@ -588,7 +588,8 @@ let widen_loops (f : func) : func =
    a redefinition of any involved register simply stops the match.  Any
    instruction that can trap or produce output between two members
    would make the merged check's earlier trap observable, so calls,
-   register-divisor divisions and foreign checks close every open
+   trapping arithmetic ([Ir.bin_may_trap]: integer division by a
+   register, float remainder) and foreign checks close every open
    group (loads and stores between members are allowed and share the
    store-only-mode caveat of DESIGN.md section 12). *)
 
@@ -798,12 +799,10 @@ let coalesce_block (blk : block) : block =
       | Call { rets; _ } ->
           close_all ();
           List.iter (fun r -> assign r None) rets
-      | Bin (_, (Div | Rem), _, _, d) ->
-          (match d with ImmI c when c <> 0 -> () | _ -> close_all ());
-          (match def_expr inst with
-          | Some (r, e) -> assign r e
-          | None -> ())
       | _ -> (
+          (match inst with
+          | Bin (_, op, ty, _, d) when bin_may_trap op ty d -> close_all ()
+          | _ -> ());
           match def_expr inst with
           | Some (r, e) -> assign r e
           | None -> List.iter (fun r -> assign r None) (defs_of inst)))

@@ -12,7 +12,10 @@
    3. inserts a bounds [Check] before every load and store (full mode) or
       before stores only (store-only mode), skipping provably-safe direct
       accesses to scalar stack slots and scalar globals (the paper
-      likewise exempts scalar locals / register spills);
+      likewise exempts scalar locals / register spills) and accesses
+      {!Sbir.Range} proves inside the static extent of a global, a stack
+      slot or a field window within one (a discharged access still uses
+      up its site id);
    4. rewrites call sites: direct callees get the [_sb_] name, pointer
       arguments carry their metadata, indirect calls are preceded by the
       function-pointer check (base = bound = ptr, section 5.2);
@@ -26,7 +29,10 @@
    A metadata-liveness pre-pass avoids materializing metadata that no
    check, call, return or pointer store can ever observe — the kind of
    cleanup the paper gets from re-running LLVM's optimizers over the
-   instrumented code (section 6.1). *)
+   instrumented code (section 6.1).  The static discharge of step 3 is
+   the other half of that cleanup and runs with it ([prune_liveness]).
+   It belongs here rather than in {!Elim}: it needs the module's global
+   sizes, and [Elim.elim_func] sees one function at a time. *)
 
 module Ir = Sbir.Ir
 open Ir
@@ -128,8 +134,19 @@ let access_checked (slot_direct : bool array) (addr : operand) =
   | Func _ -> true
   | ImmI _ | ImmF _ -> true
 
+(** The address of an access this mode checks (loads only in full
+    mode), discharge aside. *)
+let checked_addr (opts : Config.options) slot_direct (inst : inst) =
+  match inst with
+  | Store (_, addr, _) when access_checked slot_direct addr -> Some addr
+  | Load (_, _, addr)
+    when opts.Config.mode = Config.Full_checking
+         && access_checked slot_direct addr ->
+      Some addr
+  | _ -> None
+
 let compute_needed (opts : Config.options) (f : func)
-    (slot_direct : bool array) : bool array =
+    (slot_direct : bool array) verdict : bool array =
   if not opts.Config.prune_liveness then Array.make (max 1 f.fnregs) true
   else
   let needed = Array.make (max 1 f.fnregs) false in
@@ -144,21 +161,22 @@ let compute_needed (opts : Config.options) (f : func)
   (* seed and propagate to fixpoint *)
   while !changed do
     changed := false;
-    Array.iter
-      (fun b ->
-        List.iter
-          (fun inst ->
+    Array.iteri
+      (fun bi b ->
+        List.iteri
+          (fun ii inst ->
+            (* checked accesses consume the address's metadata; so does a
+               discharged one inside a loop: Elim hoists that metadata out
+               of the loop with the address computation it reads, and
+               dropping it would leave that computation in the loop *)
+            (match (checked_addr opts slot_direct inst, verdict bi ii) with
+            | Some a, (Sbir.Range.Unproven | Proven { in_loop = true }) ->
+                mark_track a
+            | _ -> ());
             match inst with
-            | Store (t, addr, v) ->
+            | Store (t, _, v) ->
                 (* pointer stores update the metadata space *)
-                if t = P then mark_track v;
-                (* checked accesses consume the address's metadata *)
-                if access_checked slot_direct addr then mark_track addr
-            | Load (_, _, addr) ->
-                if
-                  opts.Config.mode = Config.Full_checking
-                  && access_checked slot_direct addr
-                then mark_track addr
+                if t = P then mark_track v
             | Call { callee; sg; args; _ } ->
                 (match callee with
                 | Func _ -> ()
@@ -208,7 +226,20 @@ let propagate ctx dst (bop, eop) acc =
     Mov (re, P, eop) :: Mov (rb, P, bop) :: acc
   end
 
-let transform_inst ctx (f : func) (inst : inst) (acc : inst list) : inst list =
+(** The bounds check of an access, unless it is discharged; the site id
+    is used up either way, so every other id is unchanged. *)
+let access_check ctx ~checked ~discharged addr t acc =
+  if not checked then acc
+  else begin
+    let site = next_site ctx in
+    if discharged then acc
+    else
+      let b, e = meta_of_operand ctx addr in
+      Check (addr, b, e, ity_size t, site) :: acc
+  end
+
+let transform_inst ctx (f : func) ~discharged (inst : inst) (acc : inst list)
+    : inst list =
   let opts = ctx.opts in
   let full = opts.Config.mode = Config.Full_checking in
   (* function-designator operands must point at the transformed code —
@@ -249,10 +280,9 @@ let transform_inst ctx (f : func) (inst : inst) (acc : inst list) : inst list =
       end
   | Load (r, t, addr) ->
       let acc =
-        if full && access_checked ctx.slot_direct addr then
-          let b, e = meta_of_operand ctx addr in
-          Check (addr, b, e, ity_size t, next_site ctx) :: acc
-        else acc
+        access_check ctx ~discharged
+          ~checked:(full && access_checked ctx.slot_direct addr)
+          addr t acc
       in
       let acc = Load (r, t, addr) :: acc in
       if t = P && ctx.needed.(r) then begin
@@ -262,10 +292,9 @@ let transform_inst ctx (f : func) (inst : inst) (acc : inst list) : inst list =
       else acc
   | Store (t, addr, v) ->
       let acc =
-        if access_checked ctx.slot_direct addr then
-          let b, e = meta_of_operand ctx addr in
-          Check (addr, b, e, ity_size t, next_site ctx) :: acc
-        else acc
+        access_check ctx ~discharged
+          ~checked:(access_checked ctx.slot_direct addr)
+          addr t acc
       in
       let acc = Store (t, addr, v) :: acc in
       if t = P then begin
@@ -384,9 +413,19 @@ let transform_term ctx (f : func) (term : terminator) :
       (clear, TRet ops)
   | t -> ([], t)
 
-let transform_func (opts : Config.options) defined sites (f : func) : func =
+(** {!Sbir.Range}'s verdict on each access of [f], when [discharge] is on
+    and the static cleanup runs ([prune_liveness]); a [Proven] access
+    loses its check. *)
+let range_verdicts ~discharge (opts : Config.options) extent (f : func) =
+  if discharge && opts.Config.prune_liveness then
+    Sbir.Range.proven ~extent ~shrink:opts.Config.shrink_bounds f
+  else fun _ _ -> Sbir.Range.Unproven
+
+let transform_func ~discharge (opts : Config.options) extent defined sites
+    (f : func) : func =
   let slot_direct = compute_slot_direct f in
-  let needed = compute_needed opts f slot_direct in
+  let verdict = range_verdicts ~discharge opts extent f in
+  let needed = compute_needed opts f slot_direct verdict in
   let ctx =
     {
       opts;
@@ -410,11 +449,18 @@ let transform_func (opts : Config.options) defined sites (f : func) : func =
       f.fparams
   in
   let fblocks =
-    Array.map
-      (fun b ->
+    Array.mapi
+      (fun bi b ->
         let insts =
-          List.rev (List.fold_left (fun acc i -> transform_inst ctx f i acc)
-                      [] b.insts)
+          List.rev
+            (snd
+               (List.fold_left
+                  (fun (ii, acc) i ->
+                    ( ii + 1,
+                      transform_inst ctx f
+                        ~discharged:(verdict bi ii <> Sbir.Range.Unproven)
+                        i acc ))
+                  (0, []) b.insts))
         in
         let pre_ret, term = transform_term ctx f b.term in
         { insts = insts @ pre_ret; term })
@@ -498,12 +544,25 @@ let build_global_init (m : modul) sites : func * global list =
 (* Module transformation                                                *)
 (* ------------------------------------------------------------------ *)
 
+(** Global sizes by name, the static extents {!Sbir.Range} proves
+    against. *)
+let global_extent (m : modul) : string -> int option =
+  let sizes = Hashtbl.create 16 in
+  List.iter (fun g -> Hashtbl.replace sizes g.gname g.gsize) m.mglobals;
+  Hashtbl.find_opt sizes
+
 (** Transform and also report how many instrumentation sites were
     assigned.  Site ids are handed out during emission — before the
     optional elimination pass prunes anything — so the count (and each
     surviving instruction's id) is identical across [eliminate_checks]
     settings; observers compute elided sites as assigned-minus-surviving. *)
-let transform_with_sites ?(opts = Config.default) (m : modul) : modul * int =
+let transform_with_sites ?(discharge = true) ?(opts = Config.default)
+    (m : modul) : modul * int =
+  (* an instrumented module may hold no instrumentation instruction (all
+     of its accesses discharged), but it always holds the initializer *)
+  if Hashtbl.mem m.mfuncs global_init_name then
+    invalid_arg "Transform: module already instrumented";
+  let extent = global_extent m in
   let defined = Hashtbl.create 64 in
   List.iter (fun n -> Hashtbl.replace defined n ()) m.mfunc_order;
   let sites = ref 0 in
@@ -512,7 +571,7 @@ let transform_with_sites ?(opts = Config.default) (m : modul) : modul * int =
     List.map
       (fun n ->
         let f0 = Hashtbl.find m.mfuncs n in
-        let f = transform_func opts defined sites f0 in
+        let f = transform_func ~discharge opts extent defined sites f0 in
         (* The register count before instrumentation separates metadata
            registers from program registers for the elimination pass. *)
         let f =
@@ -538,4 +597,23 @@ let transform_with_sites ?(opts = Config.default) (m : modul) : modul * int =
   validate m';
   (m', !sites)
 
-let transform ?opts (m : modul) : modul = fst (transform_with_sites ?opts m)
+let transform ?discharge ?opts (m : modul) : modul =
+  fst (transform_with_sites ?discharge ?opts m)
+
+let count_discharged ?(opts = Config.default) (m : modul) : int =
+  let extent = global_extent m in
+  let n = ref 0 in
+  iter_funcs m (fun f ->
+      let slot_direct = compute_slot_direct f in
+      let verdict = range_verdicts ~discharge:true opts extent f in
+      Array.iteri
+        (fun bi b ->
+          List.iteri
+            (fun ii inst ->
+              if
+                checked_addr opts slot_direct inst <> None
+                && verdict bi ii <> Sbir.Range.Unproven
+              then incr n)
+            b.insts)
+        f.fblocks);
+  !n

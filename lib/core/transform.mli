@@ -21,15 +21,25 @@ val global_init_name : string
     statically initialized pointer globals (section 5.2); the VM runs it
     before [main] when present. *)
 
-val transform : ?opts:Config.options -> Ir.modul -> Ir.modul
+val transform :
+  ?discharge:bool -> ?opts:Config.options -> Ir.modul -> Ir.modul
 (** Instrument a module.  Raises [Invalid_argument] if the module
-    already contains instrumentation instructions. *)
+    already contains instrumentation instructions.  [discharge] (default
+    on) skips the check of every access {!Sbir.Range} proves inside the
+    static extent of a global or stack slot (only when
+    [opts.prune_liveness], the static cleanup, is on); tests turn it off
+    to compare. *)
 
-val transform_with_sites : ?opts:Config.options -> Ir.modul -> Ir.modul * int
+val transform_with_sites :
+  ?discharge:bool -> ?opts:Config.options -> Ir.modul -> Ir.modul * int
 (** Like {!transform}, additionally returning the number of
     instrumentation sites assigned.  Site ids ([1..n], stamped on
     [Check]/[CheckFptr]/[MetaLoad]/[MetaStore]) are handed out in
     emission order before any elimination runs, so the numbering — and
     this count — is identical whether [eliminate_checks] is on or off;
     elided sites are exactly the assigned ids missing from the returned
-    module. *)
+    module.  A discharged access uses up its site id too. *)
+
+val count_discharged : ?opts:Config.options -> Ir.modul -> int
+(** How many accesses of an uninstrumented module {!transform} would
+    leave unchecked because they are proven in bounds. *)

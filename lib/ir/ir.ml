@@ -76,6 +76,20 @@ type binop = Add | Sub | Mul | Div | Rem | And | Or | Xor | Shl | Shr
 type cmpop = Ceq | Cne | Clt | Cle | Cgt | Cge
 [@@deriving show { with_path = false }, eq]
 
+(** Can [Bin (_, op, ty, _, divisor)] trap?  Integer division and
+    remainder fault on a zero divisor (a non-zero immediate cannot be
+    one); float division yields an infinity or NaN and never traps, while
+    every float operation other than [Add]/[Sub]/[Mul]/[Div] is rejected
+    by the VM ("float bitwise operation"). *)
+let bin_may_trap (op : binop) (ty : ity) (divisor : operand) : bool =
+  if ity_is_float ty then
+    match op with Add | Sub | Mul | Div -> false | _ -> true
+  else
+    match (op, divisor) with
+    | (Div | Rem), ImmI c -> c = 0
+    | (Div | Rem), _ -> true
+    | _ -> false
+
 (** Call signature as seen at the call site. *)
 type csig = {
   cargs : ity list;

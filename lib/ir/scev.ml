@@ -15,18 +15,23 @@
    the shape the lowering produces —
 
      preheader:  iv <- init; ...
-     header:     c <- cmp (lt|le) iv limit;  br c, body, exit
+     header:     [t <- n - 1;]  c <- cmp (lt|le) iv limit;  br c, body, exit
      body..:     ...;  iv <- iv + s  (s >= 1, executed once per
      latch:      jmp header           iteration, dominating every latch)
 
    — and refuses everything else: down-counting loops, multi-exit
    loops (early [break]), loops containing calls (a callee can write
    output or exit, so checking later iterations' addresses early would
-   be observable), register-divisor divisions (which can trap between
-   two widened iterations), and guards whose arithmetic could wrap
+   be observable), instructions that can trap between two widened
+   iterations (integer division by a register, float remainder — float
+   division cannot trap), and guards whose arithmetic could wrap
    (unsigned 32-bit induction variables are accepted only in the
    stride-1 strict-less-than form; signed 32-bit arithmetic relies on
    the C signed-overflow-is-UB assumption, documented in DESIGN.md).
+   The limit is a loop invariant, or a value the header recomputes
+   before the guard from loop invariants by integer [Add]/[Sub] (the
+   [i < n - 1] of a stencil loop); the trip-count code clones that
+   computation into the preheader.
 
    Addresses are classified by a positional expansion: expanding
    register [r] as read at position [pos] follows in-loop single
@@ -48,7 +53,10 @@ type t = {
   sc_ty : ity;  (** type of the header guard comparison *)
   sc_stride : int;  (** IV units added per iteration, >= 1 *)
   sc_cle : bool;  (** guard is [iv <= limit] rather than [iv < limit] *)
-  sc_limit : operand;  (** loop-invariant guard limit *)
+  sc_limit : operand;  (** guard limit, invariant across iterations *)
+  sc_limit_chain : inst list;
+      (** the header's definitions of [sc_limit] from loop invariants,
+          in dependency order; empty when the limit is itself invariant *)
   sc_inc_pos : pos;  (** position of the write to [sc_iv] *)
   sc_defs : (reg, pos * inst) Hashtbl.t;  (** single in-loop definitions *)
   sc_multi : (reg, unit) Hashtbl.t;  (** regs defined more than once *)
@@ -158,10 +166,10 @@ let analyze (f : func) (dom : Dom.t) (loop : Dom.loop) : t option =
           (fun i inst ->
             (match inst with
             | Call _ -> clean := false
-            | Bin (_, (Div | Rem), _, _, d) ->
-                (* a zero register divisor would trap between widened
-                   iterations; immediate divisors are checked statically *)
-                (match d with ImmI c when c <> 0 -> () | _ -> clean := false)
+            | Bin (_, op, ty, _, d) when bin_may_trap op ty d ->
+                (* a trap between widened iterations would come after the
+                   span check already reported a later iteration *)
+                clean := false
             | _ -> ());
             List.iter
               (fun r ->
@@ -180,11 +188,11 @@ let analyze (f : func) (dom : Dom.t) (loop : Dom.loop) : t option =
     | TBr (Reg c, t1, t2) -> Some (c, t1, t2)
     | _ -> None
   in
-  let* cmp, ty, a, b =
+  let* cmp_idx, cmp, ty, a, b =
     match Hashtbl.find_opt defs c with
-    | Some (((cb, _) as _cpos), Cmp (_, cmp, ty, a, b))
+    | Some ((cb, ci), Cmp (_, cmp, ty, a, b))
       when cb = loop.Dom.header && not (Hashtbl.mem multi c) ->
-        Some (cmp, ty, a, b)
+        Some (ci, cmp, ty, a, b)
     | _ -> None
   in
   (* Normalize to continue-on-true. *)
@@ -196,14 +204,33 @@ let analyze (f : func) (dom : Dom.t) (loop : Dom.loop) : t option =
   in
   (* Normalize to [iv (lt|le) limit] with the variable on the left. *)
   let varies = function Reg r -> Hashtbl.mem defs r | _ -> false in
+  (* The definitions of a limit the header computes before position
+     [before] from loop invariants by single integer [Add]/[Sub]s, in
+     dependency order; [Some []] for an invariant operand. *)
+  let rec limit_chain before (o : operand) : inst list option =
+    if not (varies o) then Some []
+    else
+      match o with
+      | Reg r when not (Hashtbl.mem multi r) -> (
+          match Hashtbl.find defs r with
+          | (db, di), (Bin (_, (Add | Sub), ty, x, y) as inst)
+            when db = loop.Dom.header && di < before
+                 && not (ity_is_float ty) ->
+              let* cx = limit_chain di x in
+              let* cy = limit_chain di y in
+              Some (cx @ cy @ [ inst ])
+          | _ -> None)
+      | _ -> None
+  in
   let* cle, iv_side, limit =
     match cmp with
-    | Clt when varies a && not (varies b) -> Some (false, a, b)
-    | Cle when varies a && not (varies b) -> Some (true, a, b)
-    | Cgt when varies b && not (varies a) -> Some (false, b, a)
-    | Cge when varies b && not (varies a) -> Some (true, b, a)
+    | Clt when varies a -> Some (false, a, b)
+    | Cle when varies a -> Some (true, a, b)
+    | Cgt when varies b -> Some (false, b, a)
+    | Cge when varies b -> Some (true, b, a)
     | _ -> None
   in
+  let* limit_chain = limit_chain cmp_idx limit in
   let* iv = match iv_side with Reg r -> Some r | _ -> None in
   let* stride, inc_pos = recognize_update defs multi iv in
   let* () = if guard_ty_ok ty ~stride ~cle then Some () else None in
@@ -225,6 +252,7 @@ let analyze (f : func) (dom : Dom.t) (loop : Dom.loop) : t option =
       sc_stride = stride;
       sc_cle = cle;
       sc_limit = limit;
+      sc_limit_chain = limit_chain;
       sc_inc_pos = inc_pos;
       sc_defs = defs;
       sc_multi = multi;
@@ -348,35 +376,11 @@ let affine_addr (t : t) (pos : pos) (op : operand) : affine option =
 (* Preheader materialization                                            *)
 (* ------------------------------------------------------------------ *)
 
-(** Instructions computing the loop's exact trip count at the preheader,
-    where [sc_iv] still holds its initial value:
-    [count = ceil((limit - iv0 (+1 if <=)) / stride)]; a non-positive
-    result is the zero-trip case the span check passes vacuously. *)
-let emit_count (t : t) ~(fresh : unit -> reg) : inst list * operand =
-  let d = fresh () in
-  let insts = ref [ Bin (d, Sub, I64, t.sc_limit, Reg t.sc_iv) ] in
-  let last = ref d in
-  if t.sc_cle then begin
-    let d2 = fresh () in
-    insts := Bin (d2, Add, I64, Reg !last, ImmI 1) :: !insts;
-    last := d2
-  end;
-  if t.sc_stride > 1 then begin
-    let d3 = fresh () in
-    insts := Bin (d3, Add, I64, Reg !last, ImmI (t.sc_stride - 1)) :: !insts;
-    let q = fresh () in
-    insts := Bin (q, Div, I64, Reg d3, ImmI t.sc_stride) :: !insts;
-    last := q
-  end;
-  (List.rev !insts, Reg !last)
-
-(** Clone an affine chain into preheader instructions over fresh
-    registers and rewrite [root] (the checked address operand) to read
-    the clone.  Reads of the induction variable are left in place: at
-    the preheader it holds the initial value, so the clone computes the
-    progression's first element. *)
-let clone_chain (_t : t) ~(fresh : unit -> reg) (af : affine)
-    (root : operand) : inst list * operand =
+(** Clone [insts] (pure register arithmetic, in dependency order) over
+    fresh destination registers and rewrite [root] to read the clone.
+    Registers the clones do not define are read in place. *)
+let clone_insts ~(fresh : unit -> reg) (insts : inst list) (root : operand)
+    : inst list * operand =
   let map : (reg, reg) Hashtbl.t = Hashtbl.create 8 in
   let sub_op = function
     | Reg r as o -> (
@@ -392,7 +396,7 @@ let clone_chain (_t : t) ~(fresh : unit -> reg) (af : affine)
   in
   let insts =
     List.map
-      (fun (_, inst) ->
+      (fun inst ->
         let inst = map_inst_operands sub_op inst in
         match inst with
         | Mov (r, ty, o) -> Mov (clone_def r, ty, o)
@@ -400,7 +404,41 @@ let clone_chain (_t : t) ~(fresh : unit -> reg) (af : affine)
         | Cmp (r, op, ty, a, b) -> Cmp (clone_def r, op, ty, a, b)
         | Cast (r, to_, from_, o) -> Cast (clone_def r, to_, from_, o)
         | Gep (r, a, b, s) -> Gep (clone_def r, a, b, s)
-        | _ -> assert false (* [cloneable] admits only the above *))
-      af.af_chain
+        | _ -> assert false (* callers clone pure arithmetic only *))
+      insts
   in
   (insts, sub_op root)
+
+(** Instructions computing the loop's exact trip count at the preheader,
+    where [sc_iv] still holds its initial value:
+    [count = ceil((limit - iv0 (+1 if <=)) / stride)]; a non-positive
+    result is the zero-trip case the span check passes vacuously.  A
+    header-computed limit is recomputed first from its invariant
+    inputs. *)
+let emit_count (t : t) ~(fresh : unit -> reg) : inst list * operand =
+  let limit_insts, limit = clone_insts ~fresh t.sc_limit_chain t.sc_limit in
+  let d = fresh () in
+  let insts = ref [ Bin (d, Sub, I64, limit, Reg t.sc_iv) ] in
+  let last = ref d in
+  if t.sc_cle then begin
+    let d2 = fresh () in
+    insts := Bin (d2, Add, I64, Reg !last, ImmI 1) :: !insts;
+    last := d2
+  end;
+  if t.sc_stride > 1 then begin
+    let d3 = fresh () in
+    insts := Bin (d3, Add, I64, Reg !last, ImmI (t.sc_stride - 1)) :: !insts;
+    let q = fresh () in
+    insts := Bin (q, Div, I64, Reg d3, ImmI t.sc_stride) :: !insts;
+    last := q
+  end;
+  (limit_insts @ List.rev !insts, Reg !last)
+
+(** Clone an affine chain into preheader instructions over fresh
+    registers and rewrite [root] (the checked address operand) to read
+    the clone.  Reads of the induction variable are left in place: at
+    the preheader it holds the initial value, so the clone computes the
+    progression's first element. *)
+let clone_chain ~(fresh : unit -> reg) (af : affine) (root : operand) :
+    inst list * operand =
+  clone_insts ~fresh (List.map snd af.af_chain) root

@@ -12,6 +12,7 @@ let () =
       ("softbound", Test_softbound.suite);
       ("elim", Test_elim.suite);
       ("elim-props", Test_elim_props.suite);
+      ("range", Test_range.suite);
       ("obs", Test_obs.suite);
       ("roundtrip", Test_roundtrip.suite);
       ("baselines", Test_baselines.suite);

@@ -425,4 +425,24 @@ let suite =
           Alcotest.fail
             ("expected a bounds violation after rehash, got "
             ^ Interp.State.string_of_outcome r.outcome));
+    Alcotest.test_case "cli: check passes program arguments through" `Quick
+      (fun () ->
+        let src = Filename.temp_file "check_args" ".c" in
+        Out_channel.with_open_bin src (fun oc ->
+            output_string oc
+              "int main(int argc, char **argv) { \
+               int *p = (int *)malloc(4 * sizeof(int)); \
+               p[atoi(argv[1])] = 1; return 0; }");
+        let check arg =
+          Sys.command
+            (Filename.quote_command
+               (Filename.concat
+                  (Filename.dirname Sys.executable_name)
+                  "../bin/softbound_cli.exe")
+               ~stdout:Filename.null [ "check"; src; arg ])
+        in
+        let clean = check "2" and oob = check "9" in
+        Sys.remove src;
+        Alcotest.(check int) "p[2]: clean" 0 clean;
+        Alcotest.(check int) "p[9]: violation" 1 oob);
   ]
