@@ -66,22 +66,6 @@ open Ir
 (* Instruction facts                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let defs_of (i : inst) : reg list =
-  match i with
-  | Mov (r, _, _)
-  | Bin (r, _, _, _, _)
-  | Cmp (r, _, _, _, _)
-  | Cast (r, _, _, _)
-  | Load (r, _, _)
-  | Gep (r, _, _, _)
-  | Slotaddr (r, _) ->
-      [ r ]
-  | Call { rets; _ } -> rets
-  | MetaLoad (r1, r2, _, _) -> [ r1; r2 ]
-  | Store _ | SetBoundMark _ | Check _ | CheckFptr _ | MetaStore _
-  | CheckSpan _ ->
-      []
-
 let ops_of (i : inst) : operand list =
   match i with
   | Mov (_, _, o) | Cast (_, _, _, o) | Load (_, _, o)

@@ -75,7 +75,14 @@ let check_elim file obj =
     groups;
   each_row file obj "kernels" (fun ctx row ->
       nums file ctx row []
-        [ "base_cycles"; "checks_widened"; "checks_coalesced" ];
+        [ "base_cycles"; "checks_widened"; "checks_coalesced";
+          "checks_discharged" ];
+      (* the static discharge must reach the masked and guarded indexing
+         of these two kernels *)
+      (match (field row "name", field row "checks_discharged") with
+      | Some (Str ("compress" | "go" as k)), Some (Num n) when n <= 0.0 ->
+          bad file (Printf.sprintf "%s%s: checks_discharged is %g" ctx k n)
+      | _ -> ());
       nums file ctx row [ "checks" ] variants;
       nums file ctx row [ "meta_loads" ] [ "on"; "off" ];
       List.iter

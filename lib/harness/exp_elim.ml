@@ -25,6 +25,9 @@ type row = {
       (** per {!Matrix.softbound_stems} entry, e.g. ["shadow-full"] *)
   widened : int;  (** static loop-widened spans, shadow/full *)
   coalesced : int;  (** static checks folded into in-block spans *)
+  discharged : int;
+      (** static accesses proven in bounds at instrumentation time,
+          shadow/full *)
 }
 
 let run (m : Matrix.t) : row list =
@@ -34,10 +37,8 @@ let run (m : Matrix.t) : row list =
           (fun key (suffix, _) -> (key, Matrix.cell m w (stem ^ "-" ^ suffix)))
           keys Matrix.elim_variants
       in
-      let mi, _ =
-        Runner.instrument_cached ~opts:Runner.sb_full_shadow
-          (Runner.compile_workload w)
-      in
+      let src = Runner.compile_workload w in
+      let mi, _ = Runner.instrument_cached ~opts:Runner.sb_full_shadow src in
       let count f = Hashtbl.fold (fun _ fn n -> n + f fn) mi.Sbir.Ir.mfuncs 0 in
       {
         workload = w;
@@ -48,6 +49,8 @@ let run (m : Matrix.t) : row list =
             Matrix.softbound_stems;
         widened = count Softbound.Elim.count_widened;
         coalesced = count Softbound.Elim.count_coalesced;
+        discharged =
+          Softbound.Transform.count_discharged ~opts:Runner.sb_full_shadow src;
       })
 
 let run_of r stem key = List.assoc key (List.assoc stem r.configs)
@@ -74,7 +77,7 @@ let render (rows : row list) : string =
     (Texttable.render
        ~headers:
          [ "benchmark"; "shadow/full on"; "no-widen"; "shadow/full off";
-           "saved"; "checks on/nw/off"; "widened"; "coalesced" ]
+           "saved"; "checks on/nw/off"; "widened"; "coalesced"; "discharged" ]
        (List.map
           (fun r ->
             let ov = ov r "shadow-full" in
@@ -89,6 +92,7 @@ let render (rows : row list) : string =
                 (checks "off");
               Printf.sprintf "%d" r.widened;
               Printf.sprintf "%d" r.coalesced;
+              Printf.sprintf "%d" r.discharged;
             ])
           rows));
   let gm stem key = Texttable.pct (geomean_ov stem key rows) in
@@ -136,6 +140,7 @@ let to_json (rows : row list) : Json.t =
           ("meta_loads", counts (fun s -> s.Matrix.meta_loads) [ "on"; "off" ]);
           ("checks_widened", int r.widened);
           ("checks_coalesced", int r.coalesced);
+          ("checks_discharged", int r.discharged);
         ])
   in
   let geo stem =

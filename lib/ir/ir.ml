@@ -309,6 +309,24 @@ let map_term_operands (f : operand -> operand) (t : terminator) : terminator =
   | TSwitch (v, cases, d) -> TSwitch (f v, cases, d)
   | (TJmp _ | TUnreachable) as t -> t
 
+(** Registers an instruction writes. *)
+let defs_of (i : inst) : reg list =
+  match i with
+  | Mov (r, _, _) | Bin (r, _, _, _, _) | Cmp (r, _, _, _, _)
+  | Cast (r, _, _, _) | Load (r, _, _) | Gep (r, _, _, _) | Slotaddr (r, _) ->
+      [ r ]
+  | Call { rets; _ } -> rets
+  | MetaLoad (r1, r2, _, _) -> [ r1; r2 ]
+  | Store _ | SetBoundMark _ | Check _ | CheckFptr _ | MetaStore _
+  | CheckSpan _ ->
+      []
+
+(** The comparison that holds exactly when [op] does not. *)
+let negate_cmp = function
+  | Ceq -> Cne | Cne -> Ceq
+  | Clt -> Cge | Cge -> Clt
+  | Cle -> Cgt | Cgt -> Cle
+
 (* ------------------------------------------------------------------ *)
 (* Well-formedness validation                                           *)
 (* ------------------------------------------------------------------ *)

@@ -282,15 +282,9 @@ let transfer env (st : value array) (inst : inst) : unit =
          else if ity_is_float from_ then Int (Itv.of_ty to_)
          else Int (Itv.norm to_ (int_of (eval env st o))))
   | Gep (r, base, off, shrink) -> set r (gep env st base off shrink)
-  | Slotaddr (r, s) -> set r (Ptr { root = Slot s; off = Itv.const 0; win = None })
-  | Load (r, _, _) -> set r unknown
-  | Call { rets; _ } -> List.iter (fun r -> set r unknown) rets
-  | MetaLoad (r1, r2, _, _) ->
-      set r1 unknown;
-      set r2 unknown
-  | Store _ | SetBoundMark _ | Check _ | CheckFptr _ | MetaStore _
-  | CheckSpan _ ->
-      ()
+  | Slotaddr (r, s) ->
+      set r (Ptr { root = Slot s; off = Itv.const 0; win = None })
+  | i -> List.iter (fun r -> set r unknown) (defs_of i)
 
 (* ------------------------------------------------------------------ *)
 (* Branch refinement                                                    *)
@@ -309,22 +303,6 @@ type guard = {
   g_alias : (reg * reg list) list;
   g_rems : (reg * (reg * ity * int)) list;  (** [t = x % k]: (t, (x, ty, k)) *)
 }
-
-let defs_of (i : inst) : reg list =
-  match i with
-  | Mov (r, _, _) | Bin (r, _, _, _, _) | Cmp (r, _, _, _, _)
-  | Cast (r, _, _, _) | Load (r, _, _) | Gep (r, _, _, _) | Slotaddr (r, _) ->
-      [ r ]
-  | Call { rets; _ } -> rets
-  | MetaLoad (r1, r2, _, _) -> [ r1; r2 ]
-  | Store _ | SetBoundMark _ | Check _ | CheckFptr _ | MetaStore _
-  | CheckSpan _ ->
-      []
-
-let negate = function
-  | Ceq -> Cne | Cne -> Ceq
-  | Clt -> Cge | Cge -> Clt
-  | Cle -> Cgt | Cgt -> Cle
 
 let guard_of (blk : block) (c : reg) : guard option =
   let insts = Array.of_list blk.insts in
@@ -388,7 +366,7 @@ let guard_of (blk : block) (c : reg) : guard option =
       let regs = List.filter_map (function Reg r -> Some r | _ -> None) in
       Some
         {
-          g_cmp = (if negated then negate cmp else cmp);
+          g_cmp = (if negated then negate_cmp cmp else cmp);
           g_ty = ty;
           g_a = a;
           g_b = b;
@@ -483,7 +461,7 @@ let refine_cond env (st : value array) guard c ~taken : unit =
       set env st c (Int (if taken then trim i 0 else meet_x i (Itv.const 0)))
   | Ptr _ -> ());
   match guard with
-  | Some g -> refine env st g (if taken then g.g_cmp else negate g.g_cmp)
+  | Some g -> refine env st g (if taken then g.g_cmp else negate_cmp g.g_cmp)
   | None -> ()
 
 (* ------------------------------------------------------------------ *)
@@ -549,12 +527,13 @@ let slice (f : func) : bool array =
     | _ -> ()
   in
   let each f' = Array.iter (fun b -> List.iter f' b.insts) f.fblocks in
-  if not !setjmp then begin
+  if not !setjmp then
     each (function
       | Load (_, _, (Reg r as a)) | Store (_, (Reg r as a), _) when rooted.(r)
         ->
           track a
       | _ -> ());
+  if Array.exists Fun.id tracked then begin
     Array.iter
       (fun b -> match b.term with TBr (c, _, _) -> track c | _ -> ())
       f.fblocks;

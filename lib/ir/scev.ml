@@ -73,17 +73,6 @@ type affine = {
 (* Loop scan                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let defs_of (i : inst) : reg list =
-  match i with
-  | Mov (r, _, _) | Bin (r, _, _, _, _) | Cmp (r, _, _, _, _)
-  | Cast (r, _, _, _) | Load (r, _, _) | Gep (r, _, _, _) | Slotaddr (r, _) ->
-      [ r ]
-  | Call { rets; _ } -> rets
-  | MetaLoad (r1, r2, _, _) -> [ r1; r2 ]
-  | Store _ | SetBoundMark _ | Check _ | CheckFptr _ | MetaStore _
-  | CheckSpan _ ->
-      []
-
 (** Strictly-before on every execution: same block earlier, or the
     defining block strictly dominates the reading block.  (Transitive,
     which is what the chain-ordering argument in [affine_addr] needs.) *)
@@ -102,11 +91,6 @@ let invariant_op (t : t) (op : operand) : bool =
 (* ------------------------------------------------------------------ *)
 (* Guard and induction-variable recognition                             *)
 (* ------------------------------------------------------------------ *)
-
-let negate_cmp = function
-  | Ceq -> Cne | Cne -> Ceq
-  | Clt -> Cge | Cge -> Clt
-  | Cle -> Cgt | Cgt -> Cle
 
 (** Wrap-safety of the guard arithmetic: 63-bit-native wide types never
     wrap in practice; I32 relies on signed-overflow UB; U32 is safe only
