@@ -48,7 +48,9 @@ module Itv = struct
   let const c = { lo = c; hi = c }
   let top = { lo = min_int; hi = max_int }
   let leq a b = b.lo <= a.lo && a.hi <= b.hi
-  let join a b = { lo = min a.lo b.lo; hi = max a.hi b.hi }
+  let join a b =
+    if leq b a then a else if leq a b then b
+    else { lo = min a.lo b.lo; hi = max a.hi b.hi }
 
   let meet a b =
     let lo = max a.lo b.lo and hi = min a.hi b.hi in
@@ -211,7 +213,7 @@ let lift2 f v w =
         }
   | _ -> unknown
 
-let join = lift2 Itv.join
+let join v w = if v == w then v else lift2 Itv.join v w
 let widen = lift2 Itv.widen
 
 (* ------------------------------------------------------------------ *)
@@ -477,41 +479,43 @@ let refine_cond env (st : value array) guard c ~taken : unit =
 let slice (f : func) : bool array =
   let n = max 1 f.fnregs in
   let slot = Array.make n false and rooted = Array.make n false in
-  let defs = Array.make n [] in
+  let each f' = Array.iter (fun b -> List.iter f' b.insts) f.fblocks in
   let setjmp = ref false in
-  Array.iter
-    (fun b ->
-      List.iter
-        (fun inst ->
-          List.iter (fun r -> defs.(r) <- inst :: defs.(r)) (defs_of inst);
-          match inst with
-          | Slotaddr (r, _) -> slot.(r) <- true
-          | Call { callee = Func g; _ } -> if g = "setjmp" then setjmp := true
-          | Call _ -> setjmp := true (* an indirect callee may be setjmp *)
-          | _ -> ())
-        b.insts)
-    f.fblocks;
+  each (function
+    | Slotaddr (r, _) -> slot.(r) <- true
+    | Call { callee = Func g; _ } -> if g = "setjmp" then setjmp := true
+    | Call _ -> setjmp := true (* an indirect callee may be setjmp *)
+    | _ -> ());
   let from = function
     | Glob _ -> true
     | Reg r -> rooted.(r) || slot.(r)
     | _ -> false
   in
+  let tracked = Array.make n false in
+  if
+    !setjmp
+    || not
+         (Array.exists
+            (fun b ->
+              List.exists
+                (function Gep (_, base, _, _) -> from base | _ -> false)
+                b.insts)
+            f.fblocks)
+  then tracked
+  else
+  let defs = Array.make n [] in
+  each (fun inst ->
+      List.iter (fun r -> defs.(r) <- inst :: defs.(r)) (defs_of inst));
   let changed = ref true in
   while !changed do
     changed := false;
-    Array.iter
-      (fun b ->
-        List.iter
-          (function
-            | (Gep (r, base, _, _) | Mov (r, P, base))
-              when from base && not rooted.(r) ->
-                rooted.(r) <- true;
-                changed := true
-            | _ -> ())
-          b.insts)
-      f.fblocks
+    each (function
+      | (Gep (r, base, _, _) | Mov (r, P, base))
+        when from base && not rooted.(r) ->
+          rooted.(r) <- true;
+          changed := true
+      | _ -> ())
   done;
-  let tracked = Array.make n false in
   let rec track = function
     | Reg r when not tracked.(r) ->
         tracked.(r) <- true;
@@ -526,9 +530,7 @@ let slice (f : func) : bool array =
           defs.(r)
     | _ -> ()
   in
-  let each f' = Array.iter (fun b -> List.iter f' b.insts) f.fblocks in
-  if not !setjmp then
-    each (function
+  each (function
       | Load (_, _, (Reg r as a)) | Store (_, (Reg r as a), _) when rooted.(r)
         ->
           track a
@@ -672,6 +674,31 @@ let proven ~(extent : string -> int option) ~(shrink : bool) (f : func) :
                   ls;
                 Some defd)
     in
+    (* Only registers some block reads before writing carry information
+       across a block boundary: the others stay unknown in every
+       in-state and are never joined or compared. *)
+    let live =
+      let exposed = Array.make width false in
+      Array.iter
+        (fun blk ->
+          let written = Hashtbl.create 8 in
+          let use o =
+            (match o with
+            | Reg r when index.(r) >= 0 && not (Hashtbl.mem written r) ->
+                exposed.(index.(r)) <- true
+            | _ -> ());
+            o
+          in
+          List.iter
+            (fun i ->
+              ignore (map_inst_operands use i);
+              List.iter (fun r -> Hashtbl.replace written r ()) (defs_of i))
+            blk.insts;
+          ignore (map_term_operands use blk.term))
+        f.fblocks;
+      List.filter (fun i -> exposed.(i)) (List.init width Fun.id)
+      |> Array.of_list
+    in
     let ins : value array option array = Array.make n None in
     let outs : value array option array = Array.make n None in
     let visits = Array.make n 0 in
@@ -763,23 +790,34 @@ let proven ~(extent : string -> int option) ~(shrink : bool) (f : func) :
           match incoming with
           | [] -> ()
           | s :: rest ->
-              let nw = Array.copy s in
+              let nw = Array.make width unknown in
+              Array.iter (fun r -> nw.(r) <- s.(r)) live;
               List.iter
-                (fun s' -> Array.iteri (fun r v -> nw.(r) <- join v s'.(r)) nw)
+                (fun s' -> Array.iter (fun r -> nw.(r) <- join nw.(r) s'.(r)) live)
                 rest;
-              let merged =
+              let moved =
                 match ins.(b) with
-                | None -> nw
-                | Some old -> (
-                    let j = Array.map2 join old nw in
-                    match widened.(b) with
-                    | Some defd when visits.(b) >= widen_delay ->
-                        Array.mapi
-                          (fun r v -> if defd.(r) then widen old.(r) v else v)
-                          j
-                    | _ -> j)
+                | None -> true
+                | Some old ->
+                    let widening =
+                      if visits.(b) >= widen_delay then widened.(b) else None
+                    in
+                    let moved = ref false in
+                    Array.iter
+                      (fun r ->
+                        let j = join old.(r) nw.(r) in
+                        let v =
+                          match widening with
+                          | Some defd when defd.(r) -> widen old.(r) j
+                          | _ -> j
+                        in
+                        if not (v == old.(r) || v = old.(r)) then moved := true;
+                        nw.(r) <- v)
+                      live;
+                    !moved
               in
-              if ins.(b) <> Some merged then begin
+              if moved then begin
+                let merged = nw in
                 ins.(b) <- Some merged;
                 visits.(b) <- visits.(b) + 1;
                 let st = Array.copy merged in
@@ -809,16 +847,18 @@ let proven ~(extent : string -> int option) ~(shrink : bool) (f : func) :
       in
       (* the innermost natural loop of each block, and the registers
          invariant in it *)
+      let sized = List.map (fun l -> (Dom.loop_size l, l)) loops in
       let innermost =
         Array.init n (fun b ->
             List.fold_left
-              (fun best l ->
+              (fun best (size, l) ->
                 if not l.Dom.body.(b) then best
                 else
                   match best with
-                  | Some l' when Dom.loop_size l' <= Dom.loop_size l -> best
-                  | _ -> Some l)
-              None loops)
+                  | Some (size', _) when size' <= size -> best
+                  | _ -> Some (size, l))
+              None sized
+            |> Option.map snd)
       in
       let invariant = Hashtbl.create 4 in
       let invariant_in l = function

@@ -62,8 +62,6 @@ let agree ?opts ?argv label src =
       a.Interp.Vm.stats.S.cycles b.Interp.Vm.stats.S.cycles;
   a
 
-let detected r = Softbound.detected r
-
 (* ---- programs the unit tests prove or refuse ---- *)
 
 let wrap_src =
@@ -188,7 +186,7 @@ let suite =
         Alcotest.(check int) "discharged" 0 (discharged wrap_src);
         ignore (agree ~argv:[ "3" ] "in bounds" wrap_src);
         let r = agree ~argv:[ "2147483647" ] "wrapped" wrap_src in
-        Alcotest.(check bool) "y = INT_MIN traps" true (detected r));
+        Alcotest.(check bool) "y = INT_MIN traps" true (Softbound.detected r));
     tc "guards refine both sides" (fun () ->
         let src hi =
           Printf.sprintf
@@ -201,7 +199,7 @@ let suite =
         Alcotest.(check int) "x <= 16 proves only the second" 1
           (discharged (src "<="));
         let r = agree ~argv:[ "16" ] "x = 16" (src "<=") in
-        Alcotest.(check bool) "a[16] traps" true (detected r));
+        Alcotest.(check bool) "a[16] traps" true (Softbound.detected r));
     tc "% guards trim an endpoint" (fun () ->
         (* the initializing loop's a[p] is proven in both *)
         Alcotest.(check int) "p % 9 != 0 and != 8" 3
@@ -210,7 +208,7 @@ let suite =
           (discharged (mod_guard_src 1));
         ignore (agree "trimmed" (mod_guard_src 0));
         Alcotest.(check bool) "a[-1] traps" true
-          (detected (agree "untrimmed" (mod_guard_src 1))));
+          (Softbound.detected (agree "untrimmed" (mod_guard_src 1))));
     tc "widening terminates on growing and nested loops" (fun () ->
         Alcotest.check itv "moved bounds jump to the extremes"
           (Itv.make 0 max_int)
@@ -230,14 +228,14 @@ let suite =
            for (i = 0; i < 8; i++) s += a[i - 1]; return s; }"
         in
         Alcotest.(check int) "discharged" 0 (discharged src);
-        Alcotest.(check bool) "a[-1] traps" true (detected (agree "neg" src)));
+        Alcotest.(check bool) "a[-1] traps" true (Softbound.detected (agree "neg" src)));
     tc "a one-past-the-end access is not discharged, and traps" (fun () ->
         let src =
           "int g[8]; int main(void) { int i; \
            for (i = 0; i <= 8; i++) g[i] = i; return 0; }"
         in
         Alcotest.(check int) "discharged" 0 (discharged src);
-        Alcotest.(check bool) "g[8] traps" true (detected (agree "ope" src)));
+        Alcotest.(check bool) "g[8] traps" true (Softbound.detected (agree "ope" src)));
     tc "field windows: in-window accesses prove, sub-object overflow traps"
       (fun () ->
         let src hi =
@@ -253,7 +251,7 @@ let suite =
         Alcotest.(check int) "f[4] is inside st but outside the field" 2
           (discharged (src 5));
         Alcotest.(check bool) "f[4] traps" true
-          (detected (agree "window" (src 5))));
+          (Softbound.detected (agree "window" (src 5))));
     tc "heap pointers are never discharged" (fun () ->
         let src =
           "int main(void) { int *p = (int *)malloc(32); int i; \
@@ -271,7 +269,7 @@ let suite =
         in
         Alcotest.(check int) "discharged" 0 (discharged src);
         Alcotest.(check bool) "a[9] after longjmp traps" true
-          (detected (agree "setjmp" src)));
+          (Softbound.detected (agree "setjmp" src)));
     tc "site ids stay put: a discharged access uses up its id" (fun () ->
         let m = Softbound.compile (mod_guard_src 0) in
         let ids d =
