@@ -226,22 +226,30 @@ let propagate ctx dst (bop, eop) acc =
     Mov (re, P, eop) :: Mov (rb, P, bop) :: acc
   end
 
-(** The bounds check of an access, unless it is discharged; the site id
-    is used up either way, so every other id is unchanged. *)
-let access_check ctx ~checked ~discharged addr t acc =
-  if not checked then acc
-  else begin
-    let site = next_site ctx in
-    if discharged then acc
-    else
+(** What becomes of an access's bounds check. *)
+type check = Unchecked | Kept | Discharged
+
+let check_of (opts : Config.options) slot_direct verdict bi ii inst =
+  match checked_addr opts slot_direct inst with
+  | None -> Unchecked
+  | Some _ -> if verdict bi ii = Sbir.Range.Unproven then Kept else Discharged
+
+(** The bounds check of an access; a discharged one still uses up its
+    site id, so every other id is unchanged. *)
+let access_check ctx check addr t acc =
+  match check with
+  | Unchecked -> acc
+  | Discharged ->
+      ignore (next_site ctx);
+      acc
+  | Kept ->
+      let site = next_site ctx in
       let b, e = meta_of_operand ctx addr in
       Check (addr, b, e, ity_size t, site) :: acc
-  end
 
-let transform_inst ctx (f : func) ~discharged (inst : inst) (acc : inst list)
-    : inst list =
+let transform_inst ctx (f : func) ~check (inst : inst) (acc : inst list) :
+    inst list =
   let opts = ctx.opts in
-  let full = opts.Config.mode = Config.Full_checking in
   (* function-designator operands must point at the transformed code —
      everywhere, including casts, comparisons and stored values; the
      [Call] case handles its own callee (wrapper-variant selection) *)
@@ -279,11 +287,7 @@ let transform_inst ctx (f : func) ~discharged (inst : inst) (acc : inst list)
         | _ -> propagate ctx r (meta_of_operand ctx base) acc
       end
   | Load (r, t, addr) ->
-      let acc =
-        access_check ctx ~discharged
-          ~checked:(full && access_checked ctx.slot_direct addr)
-          addr t acc
-      in
+      let acc = access_check ctx check addr t acc in
       let acc = Load (r, t, addr) :: acc in
       if t = P && ctx.needed.(r) then begin
         let rb, re = meta_regs ctx r in
@@ -291,11 +295,7 @@ let transform_inst ctx (f : func) ~discharged (inst : inst) (acc : inst list)
       end
       else acc
   | Store (t, addr, v) ->
-      let acc =
-        access_check ctx ~discharged
-          ~checked:(access_checked ctx.slot_direct addr)
-          addr t acc
-      in
+      let acc = access_check ctx check addr t acc in
       let acc = Store (t, addr, v) :: acc in
       if t = P then begin
         let b, e = meta_of_operand ctx v in
@@ -458,7 +458,7 @@ let transform_func ~discharge (opts : Config.options) extent defined sites
                   (fun (ii, acc) i ->
                     ( ii + 1,
                       transform_inst ctx f
-                        ~discharged:(verdict bi ii <> Sbir.Range.Unproven)
+                        ~check:(check_of opts slot_direct verdict bi ii i)
                         i acc ))
                   (0, []) b.insts))
         in
@@ -610,9 +610,7 @@ let count_discharged ?(opts = Config.default) (m : modul) : int =
         (fun bi b ->
           List.iteri
             (fun ii inst ->
-              if
-                checked_addr opts slot_direct inst <> None
-                && verdict bi ii <> Sbir.Range.Unproven
+              if check_of opts slot_direct verdict bi ii inst = Discharged
               then incr n)
             b.insts)
         f.fblocks);

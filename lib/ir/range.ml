@@ -498,7 +498,9 @@ let slice (f : func) : bool array =
          (Array.exists
             (fun b ->
               List.exists
-                (function Gep (_, base, _, _) -> from base | _ -> false)
+                (function
+                  | Gep (_, base, _, _) | Mov (_, P, base) -> from base
+                  | _ -> false)
                 b.insts)
             f.fblocks)
   then tracked

@@ -252,6 +252,17 @@ let suite =
           (discharged (src 5));
         Alcotest.(check bool) "f[4] traps" true
           (Softbound.detected (agree "window" (src 5))));
+    tc "a pointer copied from a global or slot keeps its extent" (fun () ->
+        let src =
+          "int g[8]; int main(int argc, char **argv) { int l[4]; int *p; \
+           int i; if (argc > 1) p = g; else p = l; \
+           for (i = 0; i < 4; i++) p[i] = i; \
+           p = g; for (i = 0; i < 8; i++) p[i] = i; return l[0]; }"
+        in
+        (* the first loop's [p] is a global or a slot: unknown; the
+           second's is [g] *)
+        Alcotest.(check int) "discharged" 1 (discharged src);
+        ignore (agree "copied" src));
     tc "heap pointers are never discharged" (fun () ->
         let src =
           "int main(void) { int *p = (int *)malloc(32); int i; \
