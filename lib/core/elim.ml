@@ -1,5 +1,5 @@
-(* Redundant-check elimination and metadata-lookup hoisting over
-   SoftBound-instrumented IR (paper section 6.1).
+(* Redundant-check elimination, metadata-lookup hoisting and metadata
+   copy cleanup over SoftBound-instrumented IR (paper section 6.1).
 
    The paper's prototype re-runs LLVM's standard optimizers after the
    SoftBound pass, which removes checks and metadata lookups that the
@@ -9,36 +9,44 @@
    [prune_liveness] pre-pass in [Transform] stands in for the
    *liveness* part of that cleanup; this module stands in for the
    *redundancy* part (CGuard makes the same observation: most of the
-   remaining headroom is provably-redundant spatial checks).
+   remaining headroom is provably-redundant spatial checks) and for the
+   register coalescing that makes SSA metadata flows free.
 
-   Three sub-passes, in order:
+   [elim_func] folds over one list of named sub-passes ([passes]), in
+   order:
 
-   1. {b Loop hoisting.}  Using the dominator tree and natural loops
-      from {!Sbir.Dom}, loop-invariant instrumentation — [MetaLoad]s
-      whose address is invariant (and whose loop is free of metadata
-      writers), the pure metadata-propagation instructions introduced by
-      the transformation, and (under a stronger condition, below)
-      [Check]/[CheckFptr] on invariant operands — is moved into the
-      loop's preheader, created on demand.  A check executes a trap
-      conditionally, so hoisting one is allowed only when loop entry
-      already implies the check runs at least once: its block must
-      dominate every latch and every exit-edge source, the loop must
-      contain no in-loop return/unreachable terminator, and no call may
-      sit on a path that reaches the check's block (a callee could
-      terminate the program first).  This is precisely the "widen a
-      per-iteration check on a loop-invariant pointer into one check
-      per loop entry" rewrite.  Program (non-metadata) instructions are
-      hoisted only when a hoisted root transitively needs them, so the
-      instrumented/uninstrumented comparison stays fair: we never
-      optimize the program itself more than its baseline.
+   1. {b hoist} — loop-invariant hoisting.  Using the dominator tree and
+      natural loops from {!Sbir.Dom}, loop-invariant instrumentation —
+      [MetaLoad]s whose address is invariant (and whose loop is free of
+      metadata writers), the pure metadata-propagation instructions
+      introduced by the transformation, and (under a stronger
+      condition, below) [Check]/[CheckFptr] on invariant operands — is
+      moved into the loop's preheader, created on demand.  A check
+      executes a trap conditionally, so hoisting one is allowed only
+      when loop entry already implies the check runs at least once: its
+      block must dominate every latch and every exit-edge source, the
+      loop must contain no in-loop return/unreachable terminator, and no
+      call may sit on a path that reaches the check's block (a callee
+      could terminate the program first).  Program (non-metadata)
+      instructions are hoisted only when a hoisted root transitively
+      needs them.
 
-   2. {b Local metadata-lookup CSE.}  Within a block, a second
-      [MetaLoad] from the same address reuses the first lookup's
-      registers (two 1-cycle moves instead of a 5- or 9-cycle
-      metadata-space probe); invalidated by [MetaStore], calls,
-      [SetBoundMark], and redefinition of any involved register.
+   2. {b widen} — induction-variable check widening: the per-iteration
+      checks of a counted loop whose addresses are affine in the
+      induction variable ({!Sbir.Scev}) become one preheader
+      [CheckSpan] over the whole progression.
 
-   3. {b Check elimination.}  A forward available-checks dataflow
+   3. {b coalesce} — within-block coalescing of same-base
+      constant-offset checks ([a[i]] and [a[i+1]] share one span).
+      Widening and coalescing run only with [widen].
+
+   4. {b metaload-cse} — within a block, a second [MetaLoad] from the
+      same address reuses the first lookup's registers (two 1-cycle
+      moves instead of a 5- or 9-cycle metadata-space probe);
+      invalidated by [MetaStore], calls, [SetBoundMark], and
+      redefinition of any involved register.
+
+   5. {b check-cse} — a forward available-checks dataflow
       (intersection over predecessors, iterated to a fixpoint over the
       reverse postorder — the non-SSA analogue of "a dominating
       identical check with no intervening redefinition"): a [Check] on
@@ -49,13 +57,28 @@
       check reads, so stores, calls and metadata writes do not kill
       facts.
 
+   6. {b copy-coalesce}, 7. {b copy-prop}, 8. {b dead-meta} — the
+      metadata copy cleanup: a metadata temp defined once and copied
+      once is defined straight into the copy's destination; copies into
+      metadata registers are propagated forward into their readers; and
+      pure instructions defining only dead metadata registers are
+      deleted.  They touch only registers introduced by the
+      transformation and delete no memory, check or program
+      instruction, so they can only lower the cycle count.  They run
+      only with [cleanup], and not in functions that may call [setjmp].
+
+   Passes 5-8 share one dominator analysis: nothing after widening
+   changes the CFG.
+
    Soundness note: a dropped check is dominated by an identical check
    that either passed (so this one would pass: same register values,
    [w' >= w] implies [ptr + w <= bound]) or aborted (so this one is
    never reached).  Hoisted checks abort at loop entry exactly when the
-   first in-loop execution would have aborted.  Detection is therefore
-   unchanged — the test suite re-runs the full Wilander/BugBench
-   matrix with elimination on to hold this to account. *)
+   first in-loop execution would have aborted, and a span traps — at
+   the same address, site and message — exactly when some covered
+   original check would have.  Detection is therefore unchanged — the
+   test suite re-runs the full Wilander/BugBench matrix with
+   elimination on to hold this to account (DESIGN.md section 12). *)
 
 module Ir = Sbir.Ir
 module Dom = Sbir.Dom
@@ -66,24 +89,37 @@ open Ir
 (* Instruction facts                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let ops_of (i : inst) : operand list =
+let iter_ops (k : operand -> unit) (i : inst) : unit =
   match i with
   | Mov (_, _, o) | Cast (_, _, _, o) | Load (_, _, o)
   | MetaLoad (_, _, o, _) ->
-      [ o ]
+      k o
   | Bin (_, _, _, a, b)
   | Cmp (_, _, _, a, b)
   | Store (_, a, b)
   | Gep (_, a, b, _)
   | SetBoundMark (a, b) ->
-      [ a; b ]
-  | Slotaddr _ -> []
-  | Call { callee; args; _ } -> callee :: args
+      k a;
+      k b
+  | Slotaddr _ -> ()
+  | Call { callee; args; _ } ->
+      k callee;
+      List.iter k args
   | Check (p, b, e, _, _) | CheckFptr (p, b, e, _, _)
   | MetaStore (p, b, e, _) ->
-      [ p; b; e ]
+      k p;
+      k b;
+      k e
   | CheckSpan { sp_first; sp_count; sp_base; sp_bound; _ } ->
-      [ sp_first; sp_count; sp_base; sp_bound ]
+      k sp_first;
+      k sp_count;
+      k sp_base;
+      k sp_bound
+
+let ops_of (i : inst) : operand list =
+  let acc = ref [] in
+  iter_ops (fun o -> acc := o :: !acc) i;
+  List.rev !acc
 
 let term_ops (t : terminator) : operand list =
   match t with
@@ -95,8 +131,11 @@ let term_ops (t : terminator) : operand list =
 let reg_ops (ops : operand list) : reg list =
   List.filter_map (function Reg r -> Some r | _ -> None) ops
 
-(** Pure register-writing instructions safe to execute speculatively
-    (no memory access, no trap — [Div]/[Rem] can fault on zero). *)
+let wide = function I64 | U64 | P -> true | _ -> false
+
+(** Pure register-writing instructions safe to execute speculatively,
+    or to delete when nothing reads their result (no memory access, no
+    trap — [Div]/[Rem] can fault on zero). *)
 let hoistable_pure = function
   | Mov _ | Cmp _ | Cast _ | Gep _ | Slotaddr _ -> true
   | Bin (_, (Div | Rem), _, _, _) -> false
@@ -104,7 +143,7 @@ let hoistable_pure = function
   | _ -> false
 
 (* ------------------------------------------------------------------ *)
-(* Pass 1: loop-invariant hoisting                                      *)
+(* hoist: loop-invariant hoisting                                       *)
 (* ------------------------------------------------------------------ *)
 
 (* Positions are (block id, instruction index); a terminator "use"
@@ -116,7 +155,8 @@ type loop_ctx = {
   loop : Dom.loop;
   def_count : (reg, int) Hashtbl.t;  (* defs within the loop *)
   def_pos : (reg, int * int) Hashtbl.t;  (* meaningful when count = 1 *)
-  uses : (reg, (int * int) list) Hashtbl.t;  (* function-wide *)
+  uses : (reg, (int * int) list) Hashtbl.t Lazy.t;
+      (* function-wide, shared by the loops of one round *)
   meta_clobbered : bool;  (* MetaStore / Call / SetBoundMark in loop *)
   has_stop : bool;  (* TRet / TUnreachable terminator in loop *)
   calls : (int * int) list;  (* in-loop call positions *)
@@ -124,23 +164,31 @@ type loop_ctx = {
 
 let dcount ctx r = try Hashtbl.find ctx.def_count r with Not_found -> 0
 
-let build_loop_ctx (f : func) (dom : Dom.t) (loop : Dom.loop) : loop_ctx =
-  let def_count = Hashtbl.create 32 in
-  let def_pos = Hashtbl.create 32 in
+(** Every read position of each register. *)
+let function_uses (f : func) : (reg, (int * int) list) Hashtbl.t =
   let uses = Hashtbl.create 64 in
   let add_use r pos =
     Hashtbl.replace uses r
       (pos :: (try Hashtbl.find uses r with Not_found -> []))
   in
-  let meta_clobbered = ref false in
-  let has_stop = ref false in
-  let calls = ref [] in
   Array.iteri
     (fun b blk ->
       List.iteri
         (fun i inst -> List.iter (fun r -> add_use r (b, i)) (reg_ops (ops_of inst)))
         blk.insts;
-      List.iter (fun r -> add_use r (b, max_int)) (reg_ops (term_ops blk.term));
+      List.iter (fun r -> add_use r (b, max_int)) (reg_ops (term_ops blk.term)))
+    f.fblocks;
+  uses
+
+let build_loop_ctx (f : func) (dom : Dom.t) uses (loop : Dom.loop) : loop_ctx
+    =
+  let def_count = Hashtbl.create 32 in
+  let def_pos = Hashtbl.create 32 in
+  let meta_clobbered = ref false in
+  let has_stop = ref false in
+  let calls = ref [] in
+  Array.iteri
+    (fun b blk ->
       if loop.Dom.body.(b) then begin
         (match blk.term with
         | TRet _ | TUnreachable -> has_stop := true
@@ -186,7 +234,7 @@ let dominated_by ctx ((b, i) : int * int) ((b', i') : int * int) : bool =
 let uses_ok ctx r pos =
   List.for_all
     (fun (b', _ as q) -> ctx.loop.Dom.body.(b') && dominated_by ctx pos q)
-    (try Hashtbl.find ctx.uses r with Not_found -> [])
+    (try Hashtbl.find (Lazy.force ctx.uses) r with Not_found -> [])
 
 (** The set of hoistable pure/[MetaLoad] definitions of the loop, as a
     growing fixpoint: an instruction joins once all its register
@@ -390,10 +438,11 @@ let apply_hoist (f : func) (dom : Dom.t) (pre : int)
 let hoist_round ~meta_floor (f : func) : func option =
   let dom = Dom.compute f in
   let loops = Dom.natural_loops dom in
+  let uses = lazy (function_uses f) in
   let rec try_loops = function
     | [] -> None
     | loop :: rest -> (
-        let ctx = build_loop_ctx f dom loop in
+        let ctx = build_loop_ctx f dom uses loop in
         match hoist_candidates f ctx ~meta_floor with
         | [] -> try_loops rest
         | chosen -> (
@@ -419,7 +468,7 @@ let hoist_loops ~meta_floor (f : func) : func =
   !f
 
 (* ------------------------------------------------------------------ *)
-(* Pass 1b: induction-variable check widening                           *)
+(* widen: induction-variable check widening                            *)
 (* ------------------------------------------------------------------ *)
 
 (* A per-iteration [Check] whose address is affine in the loop's
@@ -561,7 +610,7 @@ let widen_loops (f : func) : func =
   !f
 
 (* ------------------------------------------------------------------ *)
-(* Pass 1c: within-block check coalescing                               *)
+(* coalesce: within-block check coalescing                             *)
 (* ------------------------------------------------------------------ *)
 
 (* Checks in one block on the same base/bound whose addresses are the
@@ -810,7 +859,7 @@ let coalesce_blocks (f : func) : func =
   { f with fblocks = Array.map coalesce_block f.fblocks }
 
 (* ------------------------------------------------------------------ *)
-(* Pass 2: within-block metadata-lookup CSE                             *)
+(* metaload-cse: within-block metadata-lookup CSE                      *)
 (* ------------------------------------------------------------------ *)
 
 let local_metaload_cse (f : func) : func =
@@ -858,7 +907,7 @@ let local_metaload_cse (f : func) : func =
   { f with fblocks = Array.map rewrite f.fblocks }
 
 (* ------------------------------------------------------------------ *)
-(* Pass 3: available-checks dataflow and elimination                    *)
+(* check-cse: available-checks dataflow and elimination                *)
 (* ------------------------------------------------------------------ *)
 
 type fact =
@@ -883,7 +932,9 @@ let kill_defs defs m =
       (fun k _ -> not (List.exists (fun r -> fact_mentions_reg r k) defs))
       m
 
-let transfer_inst m inst =
+(* [checked.(r)]: some check of the function reads [r], so a fact may
+   mention it; redefining any other register kills nothing *)
+let transfer_inst checked m inst =
   match inst with
   | Check (p, b, e, w, _) ->
       (* facts key on operands only: the site id names the instruction,
@@ -892,7 +943,7 @@ let transfer_inst m inst =
       let w' = match FM.find_opt key m with Some x -> max x w | None -> w in
       FM.add key w' m
   | CheckFptr (p, b, e, h, _) -> FM.add (FFptr (p, b, e, h)) 0 m
-  | _ -> kill_defs (defs_of inst) m
+  | _ -> kill_defs (List.filter (fun r -> checked.(r)) (defs_of inst)) m
 
 (* Intersection meet: a fact is available with the weakest width any
    predecessor guarantees. *)
@@ -902,9 +953,19 @@ let meet a b =
       match (x, y) with Some x, Some y -> Some (min x y) | _ -> None)
     a b
 
-let check_cse (f : func) : func =
-  let dom = Dom.compute f in
+let check_cse (dom : Dom.t) (f : func) : func =
   let n = Array.length f.fblocks in
+  let checked = Array.make f.fnregs false in
+  Array.iter
+    (fun blk ->
+      List.iter
+        (function
+          | (Check _ | CheckFptr _) as i ->
+              iter_ops (function Reg r -> checked.(r) <- true | _ -> ()) i
+          | _ -> ())
+        blk.insts)
+    f.fblocks;
+  let transfer_inst = transfer_inst checked in
   (* [None] is the optimistic top element (not yet computed); the meet
      ignores top predecessors, which is what makes back edges converge
      from above. *)
@@ -963,16 +1024,441 @@ let check_cse (f : func) : func =
   { f with fblocks = Array.mapi rewrite f.fblocks }
 
 (* ------------------------------------------------------------------ *)
-(* Entry point                                                          *)
+(* copy-coalesce, copy-prop, dead-meta: metadata copy cleanup          *)
 (* ------------------------------------------------------------------ *)
 
-let elim_func ~(meta_floor : int) ?(widen = true) (f : func) : func =
-  let f = hoist_loops ~meta_floor f in
-  let f = if widen then widen_loops f else f in
-  let f = if widen then coalesce_blocks f else f in
-  let f = local_metaload_cse f in
-  let f = check_cse f in
-  f
+(* The IR is not SSA, so the transformation writes every metadata flow
+   as a 1-cycle [Mov] into a metadata register: the shrink base, the
+   mirror of each program pointer copy, the copy out of a [MetaLoad]
+   into the metadata of the variable it feeds.  The paper's LLVM
+   pipeline carries the same flows in SSA values, which the register
+   coalescer turns into no instruction.  The three passes below do that
+   here; they read and rewrite only registers [>= meta_floor], delete
+   only pure register instructions, and never touch a [MetaLoad],
+   [MetaStore], check or program instruction, so the memory trace is
+   unchanged and the cycle count can only go down. *)
+
+(** Fixed-size bit sets over [0, n) as int arrays. *)
+module Bits = struct
+  let w = Sys.int_size
+
+  let create n = Array.make ((n + w - 1) / w) 0
+  let mem s i = s.(i / w) land (1 lsl (i mod w)) <> 0
+  let add s i = s.(i / w) <- s.(i / w) lor (1 lsl (i mod w))
+  let remove s i = s.(i / w) <- s.(i / w) land lnot (1 lsl (i mod w))
+
+  let rec add_all s = function
+    | [] -> ()
+    | i :: l ->
+        add s i;
+        add_all s l
+
+  let rec remove_all s = function
+    | [] -> ()
+    | i :: l ->
+        remove s i;
+        remove_all s l
+
+  let inter_into dst src =
+    for k = 0 to Array.length dst - 1 do
+      dst.(k) <- dst.(k) land src.(k)
+    done
+
+  let union_into dst src =
+    for k = 0 to Array.length dst - 1 do
+      dst.(k) <- dst.(k) lor src.(k)
+    done
+end
+
+let iter_reads (k : reg -> unit) (i : inst) =
+  iter_ops (function Reg r -> k r | _ -> ()) i
+
+let iter_term_reads (k : reg -> unit) (t : terminator) =
+  List.iter (function Reg r -> k r | _ -> ()) (term_ops t)
+
+(** The register a single-destination instruction writes, or -1. *)
+let def1 = function
+  | Mov (r, _, _) | Bin (r, _, _, _, _) | Cmp (r, _, _, _, _)
+  | Cast (r, _, _, _) | Load (r, _, _) | Gep (r, _, _, _) | Slotaddr (r, _) ->
+      r
+  | _ -> -1
+
+let iter_defs (k : reg -> unit) (i : inst) =
+  match i with
+  | Call { rets; _ } -> List.iter k rets
+  | MetaLoad (a, b, _, _) ->
+      k a;
+      k b
+  | _ ->
+      let r = def1 i in
+      if r >= 0 then k r
+
+let rename_def (t : reg) (d : reg) (inst : inst) : inst =
+  let rn r = if r = t then d else r in
+  match inst with
+  | Mov (r, ty, o) -> Mov (rn r, ty, o)
+  | Bin (r, op, ty, a, b) -> Bin (rn r, op, ty, a, b)
+  | Cmp (r, op, ty, a, b) -> Cmp (rn r, op, ty, a, b)
+  | Cast (r, to_, from_, o) -> Cast (rn r, to_, from_, o)
+  | Load (r, ty, a) -> Load (rn r, ty, a)
+  | Gep (r, a, b, s) -> Gep (rn r, a, b, s)
+  | Slotaddr (r, s) -> Slotaddr (rn r, s)
+  | Call c -> Call { c with rets = List.map rn c.rets }
+  | MetaLoad (r1, r2, a, site) -> MetaLoad (rn r1, rn r2, a, site)
+  | Store _ | SetBoundMark _ | Check _ | CheckFptr _ | MetaStore _
+  | CheckSpan _ ->
+      inst
+
+(** copy-coalesce: a metadata temp [t] defined once and read once, by a wide
+    [Mov (d, _, Reg t)] later in the same block into a metadata register
+    [d] that nothing reads or writes in between, is defined straight
+    into [d] and the [Mov] dropped.  One linear scan per block, with the
+    function's def/use counts taken once. *)
+let coalesce_copies ~meta_floor (f : func) : func =
+  let is_copy = function
+    | Mov (d, ty, Reg t) -> wide ty && d >= meta_floor && t >= meta_floor
+    | _ -> false
+  in
+  if not (Array.exists (fun blk -> List.exists is_copy blk.insts) f.fblocks)
+  then f
+  else
+    let n = f.fnregs in
+    let defs = Array.make n 0 and uses = Array.make n 0 in
+    let def r = defs.(r) <- defs.(r) + 1
+    and use r = uses.(r) <- uses.(r) + 1 in
+    List.iter (fun (r, _) -> def r) f.fparams;
+    Option.iter
+      (fun (a, b) ->
+        def a;
+        def b)
+      f.fva_regs;
+    Array.iter
+      (fun blk ->
+        List.iter
+          (fun inst ->
+            iter_defs def inst;
+            iter_reads use inst)
+          blk.insts;
+        iter_term_reads use blk.term)
+      f.fblocks;
+    let single r = r >= meta_floor && defs.(r) = 1 && uses.(r) = 1 in
+    (* positions count instructions across the whole function, so a
+       position from an earlier block is below every one of this block *)
+    let touched = Array.make n (-1) and pending = Array.make n (-1) in
+    let clock = ref 0 in
+    let block blk =
+      let insts = Array.of_list blk.insts in
+      let base = !clock in
+      clock := base + Array.length insts;
+      let keep = Array.make (Array.length insts) true in
+      let writes p d =
+        let w = ref false in
+        iter_defs (fun r -> if r = d then w := true) insts.(p - base);
+        !w
+      in
+      Array.iteri
+        (fun i inst ->
+          match inst with
+          | Mov (d, _, Reg t)
+            when is_copy inst && d <> t && single t && pending.(t) >= base
+                 && touched.(d) <= pending.(t)
+                 && not (writes pending.(t) d) ->
+              let p = pending.(t) in
+              insts.(p - base) <- rename_def t d insts.(p - base);
+              keep.(i) <- false;
+              touched.(d) <- p;
+              if single d then pending.(d) <- p
+          | _ ->
+              let pos = base + i in
+              iter_reads (fun r -> touched.(r) <- pos) inst;
+              iter_defs
+                (fun r ->
+                  touched.(r) <- pos;
+                  if single r then pending.(r) <- pos)
+                inst)
+        insts;
+      if Array.for_all Fun.id keep then blk
+      else
+        let kept = ref [] in
+        for i = Array.length insts - 1 downto 0 do
+          if keep.(i) then kept := insts.(i) :: !kept
+        done;
+        { blk with insts = !kept }
+    in
+    { f with fblocks = Array.map block f.fblocks }
+
+(** copy-prop: forward available-copies dataflow over the wide [Mov]s
+    into metadata registers, with the intersection meet of
+    {!check_cse}.  A fact [d = s] dies when [d] or [s] is redefined;
+    while it holds, [s] replaces every read of [d] (transitively,
+    through facts on [s]). *)
+let propagate_copies ~meta_floor (dom : Dom.t) (f : func) : func =
+  let n = f.fnregs in
+  (* facts on each metadata register [d], as (s, id); the facts a
+     redefinition of each register kills *)
+  let on = Array.make n [] and kills = Array.make n [] in
+  let nf = ref 0 in
+  let fact d s =
+    match List.find_opt (fun (s', _) -> equal_operand s s') on.(d) with
+    | Some (_, id) -> id
+    | None ->
+        let id = !nf in
+        incr nf;
+        on.(d) <- (s, id) :: on.(d);
+        kills.(d) <- id :: kills.(d);
+        (match s with Reg r -> kills.(r) <- id :: kills.(r) | _ -> ());
+        id
+  in
+  (* per block, the fact each instruction generates (-1: none) *)
+  let gen =
+    Array.map
+      (fun blk ->
+        Array.of_list
+          (List.map
+             (function
+               | Mov (d, ty, s)
+                 when wide ty && d >= meta_floor
+                      && not (equal_operand s (Reg d)) ->
+                   fact d s
+               | _ -> -1)
+             blk.insts))
+      f.fblocks
+  in
+  if !nf = 0 then f
+  else
+    let nf = !nf in
+    let transfer set g inst =
+      iter_defs (fun r -> Bits.remove_all set kills.(r)) inst;
+      if g >= 0 then Bits.add set g
+    in
+    let out = Array.make (Array.length f.fblocks) None in
+    let in_of b =
+      if b = 0 then Some (Bits.create nf)
+      else
+        List.fold_left
+          (fun acc p ->
+            match (out.(p), acc) with
+            | None, _ -> acc
+            | Some m, None -> Some (Array.copy m)
+            | Some m, (Some a as acc) ->
+                Bits.inter_into a m;
+                acc)
+          None dom.Dom.preds.(b)
+    in
+    (* each block's facts generated and killed, so the fixpoint below
+       walks blocks, not instructions *)
+    let summary b blk =
+      let g = Bits.create nf and k = Bits.create nf in
+      List.iteri
+        (fun i inst ->
+          iter_defs
+            (fun r ->
+              Bits.remove_all g kills.(r);
+              Bits.add_all k kills.(r))
+            inst;
+          if gen.(b).(i) >= 0 then Bits.add g gen.(b).(i))
+        blk.insts;
+      (g, k)
+    in
+    let summaries = Array.mapi summary f.fblocks in
+    let changed = ref true in
+    while !changed do
+      changed := false;
+      Array.iter
+        (fun b ->
+          match in_of b with
+          | None -> ()
+          | Some set ->
+              let g, k = summaries.(b) in
+              for w = 0 to Array.length set - 1 do
+                set.(w) <- set.(w) land lnot k.(w) lor g.(w)
+              done;
+              if out.(b) <> Some set then begin
+                out.(b) <- Some set;
+                changed := true
+              end)
+        dom.Dom.rpo
+    done;
+    let copied set r =
+      if r < meta_floor then None
+      else List.find_opt (fun (_, id) -> Bits.mem set id) on.(r)
+    in
+    let rec resolve set fuel op =
+      match op with
+      | Reg r when fuel > 0 -> (
+          match copied set r with
+          | Some (s, _) -> resolve set (fuel - 1) s
+          | None -> op)
+      | _ -> op
+    in
+    let rewrite b blk =
+      match if Dom.reachable dom b then in_of b else None with
+      | None -> blk
+      | Some set ->
+          let sub = resolve set nf in
+          let hit = ref false in
+          let read r = if copied set r <> None then hit := true in
+          let any = ref false in
+          let insts =
+            List.mapi
+              (fun i inst ->
+                hit := false;
+                iter_reads read inst;
+                let inst =
+                  if !hit then begin
+                    any := true;
+                    map_inst_operands sub inst
+                  end
+                  else inst
+                in
+                transfer set gen.(b).(i) inst;
+                inst)
+              blk.insts
+          in
+          hit := false;
+          iter_term_reads read blk.term;
+          if !hit then
+            { insts; term = map_term_operands sub blk.term }
+          else if !any then { blk with insts }
+          else blk
+    in
+    { f with fblocks = Array.mapi rewrite f.fblocks }
+
+(** dead-meta: backward liveness over the metadata registers, as bit
+    sets; a pure instruction whose destination is a dead metadata
+    register is deleted.  Its reads then make nothing live, so a whole
+    dead chain goes in one fixpoint. *)
+let dead_meta ~meta_floor (dom : Dom.t) (f : func) : func =
+  let nm = f.fnregs - meta_floor in
+  if nm <= 0 then f
+  else
+    let meta acc r = if r >= meta_floor then (r - meta_floor) :: acc else acc in
+    let inert = (-1, [], []) in
+    (* per instruction: the metadata register it may be deleted for (-1:
+       never deleted), and the metadata registers it writes and reads *)
+    let code =
+      Array.map
+        (fun blk ->
+          Array.of_list
+            (List.map
+               (fun inst ->
+                 let d = def1 inst in
+                 let del =
+                   if hoistable_pure inst && d >= meta_floor then
+                     d - meta_floor
+                   else -1
+                 in
+                 let defs = ref [] and uses = ref [] in
+                 iter_defs (fun r -> defs := meta !defs r) inst;
+                 iter_reads (fun r -> uses := meta !uses r) inst;
+                 if del < 0 && !defs = [] && !uses = [] then inert
+                 else (del, !defs, !uses))
+               blk.insts))
+        f.fblocks
+    in
+    let dead live (del, _, _) = del >= 0 && not (Bits.mem live del) in
+    let step live ((_, defs, uses) as c) =
+      if not (dead live c) then begin
+        Bits.remove_all live defs;
+        Bits.add_all live uses
+      end
+    in
+    let term_uses =
+      Array.map
+        (fun blk ->
+          List.fold_left
+            (fun acc -> function Reg r -> meta acc r | _ -> acc)
+            [] (term_ops blk.term))
+        f.fblocks
+    in
+    let live_in = Array.map (fun _ -> Bits.create nm) f.fblocks in
+    let live_out b =
+      let live = Bits.create nm in
+      List.iter (fun s -> Bits.union_into live live_in.(s)) dom.Dom.succs.(b);
+      Bits.add_all live term_uses.(b);
+      live
+    in
+    let changed = ref true in
+    while !changed do
+      changed := false;
+      for k = Array.length dom.Dom.rpo - 1 downto 0 do
+        let b = dom.Dom.rpo.(k) in
+        let live = live_out b in
+        for i = Array.length code.(b) - 1 downto 0 do
+          step live code.(b).(i)
+        done;
+        if live <> live_in.(b) then begin
+          live_in.(b) <- live;
+          changed := true
+        end
+      done
+    done;
+    let rewrite b blk =
+      if not (Dom.reachable dom b) then blk
+      else
+        let live = live_out b in
+        let insts = Array.of_list blk.insts in
+        let kept = ref [] and dropped = ref false in
+        for i = Array.length insts - 1 downto 0 do
+          let c = code.(b).(i) in
+          if dead live c then dropped := true
+          else begin
+            step live c;
+            kept := insts.(i) :: !kept
+          end
+        done;
+        if !dropped then { blk with insts = !kept } else blk
+    in
+    { f with fblocks = Array.mapi rewrite f.fblocks }
+
+(* ------------------------------------------------------------------ *)
+(* The pass list                                                        *)
+(* ------------------------------------------------------------------ *)
+
+(** What a sub-pass sees besides the function: the metadata floor and
+    the function's CFG analysis, computed on first use and shared by the
+    passes that keep the CFG (every one after widening). *)
+type env = { meta_floor : int; dom : Dom.t Lazy.t }
+
+type gate = Always | Widen | Cleanup
+
+type pass = {
+  name : string;
+  gate : gate;
+  keeps_cfg : bool;
+  run : env -> func -> func;
+}
+
+let passes =
+  let pass ?(keeps_cfg = true) name gate run = { name; gate; keeps_cfg; run } in
+  let floor e = e.meta_floor and dom e = Lazy.force e.dom in
+  [
+    pass "hoist" Always ~keeps_cfg:false (fun e ->
+        hoist_loops ~meta_floor:(floor e));
+    pass "widen" Widen ~keeps_cfg:false (fun _ -> widen_loops);
+    pass "coalesce" Widen (fun _ -> coalesce_blocks);
+    pass "metaload-cse" Always (fun _ -> local_metaload_cse);
+    pass "check-cse" Always (fun e -> check_cse (dom e));
+    pass "copy-coalesce" Cleanup (fun e ->
+        coalesce_copies ~meta_floor:(floor e));
+    pass "copy-prop" Cleanup (fun e ->
+        propagate_copies ~meta_floor:(floor e) (dom e));
+    pass "dead-meta" Cleanup (fun e -> dead_meta ~meta_floor:(floor e) (dom e));
+  ]
+
+let elim_func ~(meta_floor : int) ?(widen = true) ?(cleanup = true) (f : func)
+    : func =
+  let cleanup = cleanup && not (may_call_setjmp f) in
+  let on = function Always -> true | Widen -> widen | Cleanup -> cleanup in
+  let analyze f = { meta_floor; dom = lazy (Dom.compute f) } in
+  fst
+    (List.fold_left
+       (fun (f, env) p ->
+         if not (on p.gate) then (f, env)
+         else
+           let f = p.run env f in
+           (f, if p.keeps_cfg then env else analyze f))
+       (f, analyze f) passes)
 
 (** Static instrumentation census, for tests and reporting. *)
 let count_insts (p : inst -> bool) (f : func) : int =

@@ -1,25 +1,40 @@
-(** Redundant-check elimination and metadata-lookup hoisting over
-    SoftBound-instrumented IR — the redundancy half of the cleanup the
-    paper gets by re-running LLVM's standard optimizers after the
+(** Redundant-check elimination, metadata-lookup hoisting and metadata
+    copy cleanup over SoftBound-instrumented IR — the cleanup the paper
+    gets by re-running LLVM's standard optimizers after the
     transformation (section 6.1); [Config.prune_liveness] is the
     liveness half.
 
-    Sub-passes, in order: loop-invariant hoisting of metadata lookups,
-    metadata propagation, and (when loop entry provably implies they
-    execute) bounds checks into loop preheaders; induction-variable
-    check {e widening}, which replaces the per-iteration checks of a
-    counted loop whose addresses are affine in the induction variable
-    ({!Sbir.Scev}) by one preheader [CheckSpan] over the whole
-    progression; within-block {e coalescing} of same-base
-    constant-offset checks ([a[i]] and [a[i+1]] share one span);
-    within-block reuse of an earlier [MetaLoad] from the same address;
-    and a forward available-checks dataflow that drops a [Check]
-    reached by an identical dominating check of at least its width with
-    no intervening redefinition.  Elimination never weakens detection:
-    a dropped check is implied by one that already ran, a hoisted check
-    aborts exactly when its first in-loop execution would have, and a
-    span traps — at the same address, site and message — exactly when
-    some covered original check would have (DESIGN.md section 12).
+    {!elim_func} folds over one list of named sub-passes, in order:
+    - [hoist]: loop-invariant hoisting of metadata lookups, metadata
+      propagation, and (when loop entry provably implies they execute)
+      bounds checks into loop preheaders;
+    - [widen]: induction-variable check {e widening}, which replaces the
+      per-iteration checks of a counted loop whose addresses are affine
+      in the induction variable ({!Sbir.Scev}) by one preheader
+      [CheckSpan] over the whole progression;
+    - [coalesce]: within-block {e coalescing} of same-base
+      constant-offset checks ([a[i]] and [a[i+1]] share one span);
+    - [metaload-cse]: within-block reuse of an earlier [MetaLoad] from
+      the same address;
+    - [check-cse]: a forward available-checks dataflow that drops a
+      [Check] reached by an identical dominating check of at least its
+      width with no intervening redefinition;
+    - [copy-coalesce]: a metadata temp defined once and copied once, in
+      one block, is defined straight into the copy's destination;
+    - [copy-prop]: a forward available-copies dataflow replaces each
+      read of a metadata register holding a copy by the copy's source;
+    - [dead-meta]: pure instructions that define only dead metadata
+      registers are deleted.
+
+    Elimination never weakens detection: a dropped check is implied by
+    one that already ran, a hoisted check aborts exactly when its first
+    in-loop execution would have, and a span traps — at the same
+    address, site and message — exactly when some covered original
+    check would have.  The last three passes, the {e copy cleanup},
+    read and write only registers the transformation introduced and
+    delete only pure register instructions, so the memory trace is
+    unchanged and the cycle count can only go down (DESIGN.md section
+    12).
 
     Enabled by {!Config.options.eliminate_checks} (default on);
     disabling it reproduces the uncleaned instrumentation for the
@@ -29,13 +44,18 @@
 
 module Ir = Sbir.Ir
 
-val elim_func : meta_floor:int -> ?widen:bool -> Ir.func -> Ir.func
+val elim_func :
+  meta_floor:int -> ?widen:bool -> ?cleanup:bool -> Ir.func -> Ir.func
 (** Optimize one instrumented function.  [meta_floor] is the function's
     register count {e before} instrumentation: registers at or above it
     were introduced by the transformation, which is how the pass tells
-    metadata propagation (hoisted eagerly) from program computation
-    (hoisted only as a dependency of hoisted instrumentation, keeping
-    the overhead comparison against the uninstrumented baseline fair). *)
+    metadata propagation (hoisted eagerly, and the only thing the copy
+    cleanup touches) from program computation (hoisted only as a
+    dependency of hoisted instrumentation, keeping the overhead
+    comparison against the uninstrumented baseline fair).  [cleanup]
+    (default on) runs the copy cleanup; tests turn it off to compare.
+    It is skipped in a function that may call [setjmp], whose [longjmp]
+    edges the CFG does not show. *)
 
 val count_checks : Ir.func -> int
 (** Static number of [Check]/[CheckFptr] instructions, for tests. *)

@@ -321,6 +321,21 @@ let defs_of (i : inst) : reg list =
   | CheckSpan _ ->
       []
 
+(** Can a call of [f] be [setjmp] (named so, or [_sb_setjmp] once
+    instrumented)?  Any indirect call may be.  [longjmp] resumes after
+    that call with the registers as they were at the jump, an edge the
+    CFG does not show, so dataflow over [fblocks] must skip [f]. *)
+let may_call_setjmp (f : func) : bool =
+  Array.exists
+    (fun b ->
+      List.exists
+        (function
+          | Call { callee = Func g; _ } -> g = "setjmp" || g = "_sb_setjmp"
+          | Call _ -> true
+          | _ -> false)
+        b.insts)
+    f.fblocks
+
 (** The comparison that holds exactly when [op] does not. *)
 let negate_cmp = function
   | Ceq -> Cne | Cne -> Ceq

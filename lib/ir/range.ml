@@ -480,12 +480,7 @@ let slice (f : func) : bool array =
   let n = max 1 f.fnregs in
   let slot = Array.make n false and rooted = Array.make n false in
   let each f' = Array.iter (fun b -> List.iter f' b.insts) f.fblocks in
-  let setjmp = ref false in
-  each (function
-    | Slotaddr (r, _) -> slot.(r) <- true
-    | Call { callee = Func g; _ } -> if g = "setjmp" then setjmp := true
-    | Call _ -> setjmp := true (* an indirect callee may be setjmp *)
-    | _ -> ());
+  each (function Slotaddr (r, _) -> slot.(r) <- true | _ -> ());
   let from = function
     | Glob _ -> true
     | Reg r -> rooted.(r) || slot.(r)
@@ -493,7 +488,7 @@ let slice (f : func) : bool array =
   in
   let tracked = Array.make n false in
   if
-    !setjmp
+    may_call_setjmp f
     || not
          (Array.exists
             (fun b ->

@@ -118,6 +118,131 @@ let widen_agrees (index, eng, fac) =
   && a.stdout_text = b.stdout_text
   && fail_site a = fail_site b
 
+
+(* ---- the metadata copy cleanup (Elim's copy-coalesce, copy-prop and
+   dead-meta passes) ---- *)
+
+(** Instrument with elimination off, then run [Elim.elim_func] on each
+    function with the cleanup on or off — what [Transform] does, with
+    the cleanup's test-only switch exposed. *)
+let with_cleanup ~cleanup opts (m : Sbir.Ir.modul) : Sbir.Ir.modul =
+  let mt =
+    Softbound.Transform.transform
+      ~opts:{ opts with Softbound.Config.eliminate_checks = false }
+      m
+  in
+  let mfuncs = Hashtbl.copy mt.Sbir.Ir.mfuncs in
+  Sbir.Ir.iter_funcs m (fun f0 ->
+      let name = Softbound.Transform.sb_name f0.Sbir.Ir.fname in
+      Hashtbl.replace mfuncs name
+        (Softbound.Elim.elim_func ~meta_floor:f0.Sbir.Ir.fnregs
+           ~widen:opts.Softbound.Config.widen_checks ~cleanup
+           (Hashtbl.find mfuncs name)));
+  { mt with Sbir.Ir.mfuncs }
+
+(** Each block's instructions minus the pure ones that write only
+    metadata registers, with every metadata register they define
+    renamed to one placeholder and every operand erased: the cleanup may
+    delete only the former, and otherwise only renames metadata
+    definitions and rewrites operands. *)
+let program_view (m0 : Sbir.Ir.modul) (m : Sbir.Ir.modul) =
+  let open Sbir.Ir in
+  List.map
+    (fun n ->
+      let floor = (Hashtbl.find m0.mfuncs n).fnregs in
+      let f = Hashtbl.find m.mfuncs (Softbound.Transform.sb_name n) in
+      let reg r = if r >= floor then -1 else r in
+      let erase _ = ImmI 0 in
+      let meta_only i =
+        (match i with
+        | Mov _ | Bin _ | Cmp _ | Cast _ | Gep _ | Slotaddr _ -> true
+        | _ -> false)
+        && List.for_all (fun r -> r >= floor) (defs_of i)
+      in
+      let view i =
+        match map_inst_operands erase i with
+        | Call c -> Call { c with rets = List.map reg c.rets }
+        | MetaLoad (a, b, x, s) -> MetaLoad (reg a, reg b, x, s)
+        | Load (r, t, a) -> Load (reg r, t, a)
+        | Mov (r, t, o) -> Mov (reg r, t, o)
+        | Bin (r, o, t, a, b) -> Bin (reg r, o, t, a, b)
+        | Cmp (r, o, t, a, b) -> Cmp (reg r, o, t, a, b)
+        | Cast (r, t, t', o) -> Cast (reg r, t, t', o)
+        | Gep (r, a, b, s) -> Gep (reg r, a, b, s)
+        | Slotaddr (r, s) -> Slotaddr (reg r, s)
+        | i -> i
+      in
+      Array.map
+        (fun b ->
+          ( List.filter_map
+              (fun i -> if meta_only i then None else Some (view i))
+              b.insts,
+            map_term_operands erase b.term ))
+        f.fblocks)
+    m0.mfunc_order
+
+let static_insts (m : Sbir.Ir.modul) =
+  Hashtbl.fold
+    (fun _ f acc ->
+      Array.fold_left
+        (fun a b -> a + List.length b.Sbir.Ir.insts)
+        acc f.Sbir.Ir.fblocks)
+    m.Sbir.Ir.mfuncs 0
+
+(** Run [m] with the cleanup on and off under [opts] and [cfg] and
+    compare everything observable; [None] when they agree. *)
+let cleanup_disagrees ?(cfg = obs_cfg) opts (m0 : Sbir.Ir.modul) =
+  let m_on = with_cleanup ~cleanup:true opts m0
+  and m_off = with_cleanup ~cleanup:false opts m0 in
+  let run m = Interp.Engine.run ~cfg:(Softbound.vm_config ~cfg opts) m in
+  let a = run m_on and b = run m_off in
+  let sa = a.Interp.Vm.stats and sb = b.Interp.Vm.stats in
+  let out r = Interp.State.string_of_outcome r.Interp.Vm.outcome in
+  let differ what x y =
+    if x = y then None else Some (Printf.sprintf "%s: %s vs %s" what x y)
+  in
+  let int = string_of_int in
+  let site = function None -> "-" | Some s -> int s in
+  List.find_map Fun.id
+    [
+      (if program_view m0 m_on = program_view m0 m_off then None
+       else Some "cleanup changed a non-metadata instruction");
+      differ "outcome" (out a) (out b);
+      differ "stdout" a.Interp.Vm.stdout_text b.Interp.Vm.stdout_text;
+      differ "trap site" (site (fail_site a)) (site (fail_site b));
+      differ "heap_live" (int a.Interp.Vm.heap_live)
+        (int b.Interp.Vm.heap_live);
+      differ "checks" (int sa.Interp.State.checks) (int sb.Interp.State.checks);
+      differ "meta_loads" (int sa.Interp.State.meta_loads)
+        (int sb.Interp.State.meta_loads);
+      differ "meta_stores" (int sa.Interp.State.meta_stores)
+        (int sb.Interp.State.meta_stores);
+      (if sa.Interp.State.cycles <= sb.Interp.State.cycles then None
+       else
+         Some
+           (Printf.sprintf "cleanup costs cycles (%d > %d)"
+              sa.Interp.State.cycles sb.Interp.State.cycles));
+    ]
+
+(** A one-block function over [nregs] registers, for hand-built IR. *)
+let one_block_func ~nregs insts : Sbir.Ir.func =
+  {
+    Sbir.Ir.fname = "f";
+    fparams = [];
+    frets = [];
+    fvariadic = false;
+    fva_regs = None;
+    fslots = [||];
+    fframe_size = 0;
+    fblocks = [| { Sbir.Ir.insts; term = Sbir.Ir.TRet [] } |];
+    fnregs = nregs;
+  }
+
+let cleaned ~meta_floor f =
+  (Softbound.Elim.elim_func ~meta_floor f).Sbir.Ir.fblocks.(0).Sbir.Ir.insts
+
+let cleanup_oracle_size = 500
+
 (* Read-modify-write accesses produce back-to-back identical checks
    (the load's and the store's), which the available-checks CSE merges;
    the loop-invariant metadata computation for [a] and [p] is hoisted
@@ -335,6 +460,159 @@ let suite =
              (make ~print:string_of_int Gen.(int_bound 249))
              bool (int_range 0 4))
          widen_agrees);
+
+    (* ---------------- the metadata copy cleanup ---------------- *)
+    tc "cleanup: fewer instructions, and what Transform composes"
+      (fun () ->
+        (* [q = p->next] lowers to a load into a temp and a copy into
+           [q], whose metadata copies the cleanup removes *)
+        let src =
+          "struct n { int v; struct n *next; }; \
+           int main(void) { struct n *h = 0; struct n *q; int i; int s = 0; \
+           for (i = 0; i < 8; i++) { q = (struct n *)malloc(sizeof(struct n)); \
+           q->v = i; q->next = h; h = q; } \
+           for (q = h; q; q = q->next) s += q->v; \
+           printf(\"%d\\n\", s); return 0; }"
+        in
+        let m0 = Softbound.compile src in
+        let m_on = with_cleanup ~cleanup:true on m0
+        and m_off = with_cleanup ~cleanup:false on m0 in
+        Alcotest.(check bool) "fewer static instructions" true
+          (static_insts m_on < static_insts m_off);
+        Alcotest.(check bool) "identical composed pipeline" true
+          (Sbir.Pretty_ir.dump_module m_on
+          = Sbir.Pretty_ir.dump_module (Softbound.instrument ~opts:on m0));
+        match cleanup_disagrees on m0 with
+        | None -> ()
+        | Some why -> Alcotest.fail why);
+    tc "cleanup: the copies out of a meta.load fold into it" (fun () ->
+        (* em3d's inlined [nth] loop, after instrumentation:
+           %r3,%r4 = meta.load [%r0]; %r5 = mov %r3; %r6 = mov %r4 *)
+        let open Sbir.Ir in
+        let f =
+          one_block_func ~nregs:7
+            [
+              Load (1, P, Reg 0);
+              MetaLoad (3, 4, Reg 0, 1);
+              Mov (5, P, Reg 3);
+              Mov (6, P, Reg 4);
+              Check (Reg 1, Reg 5, Reg 6, 4, 2);
+            ]
+        in
+        Alcotest.(check (list string)) "folded"
+          (List.map show_inst
+             [
+               Load (1, P, Reg 0);
+               MetaLoad (5, 6, Reg 0, 1);
+               Check (Reg 1, Reg 5, Reg 6, 4, 2);
+             ])
+          (List.map show_inst (cleaned ~meta_floor:3 f)));
+    tc "cleanup: dead metadata copies go, lookups and program code stay"
+      (fun () ->
+        let open Sbir.Ir in
+        let f =
+          one_block_func ~nregs:6
+            [
+              Mov (0, P, ImmI 8);
+              MetaLoad (3, 4, Reg 0, 1);
+              Mov (5, P, ImmI 0);
+              Bin (2, Add, P, Reg 0, ImmI 4);
+            ]
+        in
+        Alcotest.(check (list string)) "kept"
+          (List.map show_inst
+             [
+               Mov (0, P, ImmI 8);
+               MetaLoad (3, 4, Reg 0, 1);
+               Bin (2, Add, P, Reg 0, ImmI 4);
+             ])
+          (List.map show_inst (cleaned ~meta_floor:3 f)));
+    tc "cleanup: a copy is not coalesced across a read of its target"
+      (fun () ->
+        (* [saved[i] = h] stores [h]'s metadata between the call that
+           defines [p]'s and the copy of it into [h]'s; defining the
+           call's result straight into [h]'s would store the new
+           block's bounds and trap on [saved[1][8]] *)
+        let src =
+          "int main(void) { int *saved[2]; \
+           int *h = (int *)malloc(4 * sizeof(int)); int *p; int i; \
+           for (i = 0; i < 2; i++) { p = (int *)malloc(16 * sizeof(int)); \
+           saved[i] = h; h = p; } \
+           saved[1][8] = 1; printf(\"%d\\n\", saved[1][8]); return 0; }"
+        in
+        let m0 = Softbound.compile src in
+        Alcotest.(check bool) "clean exit" false
+          (Softbound.detected (Softbound.run_protected m0));
+        match cleanup_disagrees on m0 with
+        | None -> ()
+        | Some why -> Alcotest.fail why);
+    tc "cleanup: a copy dies when its source is redefined" (fun () ->
+        (* [q = p] copies [p]'s metadata; the next [malloc] redefines
+           [p]'s, so [q[2]] must still read the old block's *)
+        let src =
+          "int main(void) { int *p = (int *)malloc(4 * sizeof(int)); \
+           int *q; int i; int s = 0; \
+           for (i = 0; i < 2; i++) { q = p; \
+           p = (int *)malloc(64 * sizeof(int)); q[2] = i; p[40] = i; \
+           s += q[2] + p[40]; } \
+           printf(\"%d\\n\", s); return 0; }"
+        in
+        let m0 = Softbound.compile src in
+        Alcotest.(check bool) "clean exit" false
+          (Softbound.detected (Softbound.run_protected m0));
+        match cleanup_disagrees on m0 with
+        | None -> ()
+        | Some why -> Alcotest.fail why);
+    tc "cleanup: functions that may call setjmp are left alone" (fun () ->
+        (* on the CFG, [p]'s metadata is dead after [p = b]; the longjmp
+           resumes after setjmp with [p = b] and reads it *)
+        let src =
+          "jmp_buf env; int a[4]; int b[64]; \
+           void jump(void) { longjmp(env, 1); } \
+           int main(void) { int *p = a; int r = setjmp(env); \
+           if (r != 0) { p[8] = 1; printf(\"%d\\n\", p[8]); return 0; } \
+           p = b; if (p == 0) return 3; jump(); return 0; }"
+        in
+        let m0 = Softbound.compile src in
+        let r = Softbound.run_protected m0 in
+        Alcotest.(check string) "p[8] is inside b" "1\n"
+          r.Interp.Vm.stdout_text;
+        Alcotest.(check string) "main untouched"
+          (Sbir.Pretty_ir.dump_module (with_cleanup ~cleanup:false on m0))
+          (Sbir.Pretty_ir.dump_module (with_cleanup ~cleanup:true on m0));
+        match cleanup_disagrees on m0 with
+        | None -> ()
+        | Some why -> Alcotest.fail why);
+    tc
+      (Printf.sprintf
+         "cleanup on/off agree on %d generated programs (outcome, stdout, \
+          trap site, heap, dynamic checks and metadata ops; cycles on <= \
+          off; only metadata instructions removed)"
+         cleanup_oracle_size)
+      (fun () ->
+        let trapped = ref 0 in
+        for index = 0 to cleanup_oracle_size - 1 do
+          let case = Fuzz.case_of ~seed:4099 ~index in
+          let src = Cminus.Pretty.program_string case.Fuzz.Gen.prog in
+          let engine =
+            if index mod 2 = 0 then Interp.State.Eng_closure
+            else Interp.State.Eng_decode
+          in
+          let facility =
+            if index / 2 mod 2 = 0 then Softbound.Config.Shadow_space
+            else Softbound.Config.Hash_table
+          in
+          let opts = { on with Softbound.Config.facility } in
+          let cfg = { obs_cfg with Interp.State.engine } in
+          let m0 = Softbound.compile src in
+          (match cleanup_disagrees ~cfg opts m0 with
+          | None -> ()
+          | Some why -> Alcotest.failf "program %d: %s\n%s" index why src);
+          if case.Fuzz.Gen.expect <> Fuzz.Gen.Safe then incr trapped
+        done;
+        if !trapped * 5 < cleanup_oracle_size then
+          Alcotest.failf "only %d of %d programs carry an injected violation"
+            !trapped cleanup_oracle_size);
     (* ---------------- qcheck properties ---------------- *)
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make
