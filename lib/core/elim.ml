@@ -51,13 +51,22 @@
       reverse postorder — the non-SSA analogue of "a dominating
       identical check with no intervening redefinition"): a [Check] on
       (ptr, base, bound) is dropped when an available check on the same
-      operand triple with width >= the required width reaches it, a
+      operand registers with width >= the required width reaches it, a
       [CheckFptr] when an identical one reaches it.  Facts die when any
       mentioned register is redefined.  Registers are the only state a
       check reads, so stores, calls and metadata writes do not kill
       facts.
 
-   6. {b copy-coalesce}, 7. {b copy-prop}, 8. {b dead-meta} — the
+   6. {b check-vn} — the same dataflow over operand {e values} instead
+      of register names: lowering re-derives the address of every
+      access into a fresh register, so the load and the store of
+      [p[k] = p[k] + 1] check equal values in different registers.  A
+      forward must-dataflow first numbers the registers checks depend
+      on ([gep x + c] and 64-bit adds fold into a root plus a byte
+      offset); see the section comment below for what counts as equal.
+      Only [Check]/[CheckFptr] instructions are removed.
+
+   7. {b copy-coalesce}, 8. {b copy-prop}, 9. {b dead-meta} — the
       metadata copy cleanup: a metadata temp defined once and copied
       once is defined straight into the copy's destination; copies into
       metadata registers are propagated forward into their readers; and
@@ -65,20 +74,24 @@
       deleted.  They touch only registers introduced by the
       transformation and delete no memory, check or program
       instruction, so they can only lower the cycle count.  They run
-      only with [cleanup], and not in functions that may call [setjmp].
+      only with [cleanup].  Dead-meta also deletes the bound [add.ptr]
+      a check removed by check-vn leaves behind.
 
-   Passes 5-8 share one dominator analysis: nothing after widening
-   changes the CFG.
+   Check-cse, check-vn and copy-prop share one forward-dataflow driver
+   ({!forward}), and passes 5-9 share one dominator analysis: nothing
+   after widening changes the CFG.  No sub-pass runs in a function that
+   may call [setjmp] ({!Ir.may_call_setjmp}): [longjmp] returns there
+   along an edge the CFG does not show.
 
-   Soundness note: a dropped check is dominated by an identical check
-   that either passed (so this one would pass: same register values,
-   [w' >= w] implies [ptr + w <= bound]) or aborted (so this one is
-   never reached).  Hoisted checks abort at loop entry exactly when the
-   first in-loop execution would have aborted, and a span traps — at
-   the same address, site and message — exactly when some covered
-   original check would have.  Detection is therefore unchanged — the
-   test suite re-runs the full Wilander/BugBench matrix with
-   elimination on to hold this to account (DESIGN.md section 12). *)
+   Soundness note: a dropped check is reached, on every path, by a check
+   on the same operand values that either passed (so this one would
+   pass: same values, [w' >= w] implies [ptr + w <= bound]) or aborted
+   (so this one is never reached).  Hoisted checks abort at loop entry
+   exactly when the first in-loop execution would have aborted, and a
+   span traps — at the same address, site and message — exactly when
+   some covered original check would have.  Detection is therefore
+   unchanged — the test suite re-runs the full Wilander/BugBench matrix
+   with elimination on to hold this to account (DESIGN.md section 12). *)
 
 module Ir = Sbir.Ir
 module Dom = Sbir.Dom
@@ -89,36 +102,9 @@ open Ir
 (* Instruction facts                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let iter_ops (k : operand -> unit) (i : inst) : unit =
-  match i with
-  | Mov (_, _, o) | Cast (_, _, _, o) | Load (_, _, o)
-  | MetaLoad (_, _, o, _) ->
-      k o
-  | Bin (_, _, _, a, b)
-  | Cmp (_, _, _, a, b)
-  | Store (_, a, b)
-  | Gep (_, a, b, _)
-  | SetBoundMark (a, b) ->
-      k a;
-      k b
-  | Slotaddr _ -> ()
-  | Call { callee; args; _ } ->
-      k callee;
-      List.iter k args
-  | Check (p, b, e, _, _) | CheckFptr (p, b, e, _, _)
-  | MetaStore (p, b, e, _) ->
-      k p;
-      k b;
-      k e
-  | CheckSpan { sp_first; sp_count; sp_base; sp_bound; _ } ->
-      k sp_first;
-      k sp_count;
-      k sp_base;
-      k sp_bound
-
 let ops_of (i : inst) : operand list =
   let acc = ref [] in
-  iter_ops (fun o -> acc := o :: !acc) i;
+  iter_inst_operands (fun o -> acc := o :: !acc) i;
   List.rev !acc
 
 let term_ops (t : terminator) : operand list =
@@ -141,6 +127,29 @@ let hoistable_pure = function
   | Bin (_, (Div | Rem), _, _, _) -> false
   | Bin _ -> true
   | _ -> false
+
+let iter_reads (k : reg -> unit) (i : inst) =
+  iter_inst_operands (function Reg r -> k r | _ -> ()) i
+
+let iter_term_reads (k : reg -> unit) (t : terminator) =
+  List.iter (function Reg r -> k r | _ -> ()) (term_ops t)
+
+(** The register a single-destination instruction writes, or -1. *)
+let def1 = function
+  | Mov (r, _, _) | Bin (r, _, _, _, _) | Cmp (r, _, _, _, _)
+  | Cast (r, _, _, _) | Load (r, _, _) | Gep (r, _, _, _) | Slotaddr (r, _) ->
+      r
+  | _ -> -1
+
+let iter_defs (k : reg -> unit) (i : inst) =
+  match i with
+  | Call { rets; _ } -> List.iter k rets
+  | MetaLoad (a, b, _, _) ->
+      k a;
+      k b
+  | _ ->
+      let r = def1 i in
+      if r >= 0 then k r
 
 (* ------------------------------------------------------------------ *)
 (* hoist: loop-invariant hoisting                                       *)
@@ -907,79 +916,33 @@ let local_metaload_cse (f : func) : func =
   { f with fblocks = Array.map rewrite f.fblocks }
 
 (* ------------------------------------------------------------------ *)
-(* check-cse: available-checks dataflow and elimination                *)
+(* The forward must-dataflow driver                                     *)
 (* ------------------------------------------------------------------ *)
 
-type fact =
-  | FCheck of operand * operand * operand
-  | FFptr of operand * operand * operand * int option
-
-module FM = Map.Make (struct
-  type t = fact
-
-  let compare = Stdlib.compare
-end)
-
-let fact_mentions_reg r = function
-  | FCheck (a, b, c) | FFptr (a, b, c, _) ->
-      let m = equal_operand (Reg r) in
-      m a || m b || m c
-
-let kill_defs defs m =
-  if defs = [] then m
-  else
-    FM.filter
-      (fun k _ -> not (List.exists (fun r -> fact_mentions_reg r k) defs))
-      m
-
-(* [checked.(r)]: some check of the function reads [r], so a fact may
-   mention it; redefining any other register kills nothing *)
-let transfer_inst checked m inst =
-  match inst with
-  | Check (p, b, e, w, _) ->
-      (* facts key on operands only: the site id names the instruction,
-         it is not part of the checked predicate *)
-      let key = FCheck (p, b, e) in
-      let w' = match FM.find_opt key m with Some x -> max x w | None -> w in
-      FM.add key w' m
-  | CheckFptr (p, b, e, h, _) -> FM.add (FFptr (p, b, e, h)) 0 m
-  | _ -> kill_defs (List.filter (fun r -> checked.(r)) (defs_of inst)) m
-
-(* Intersection meet: a fact is available with the weakest width any
-   predecessor guarantees. *)
-let meet a b =
-  FM.merge
-    (fun _ x y ->
-      match (x, y) with Some x, Some y -> Some (min x y) | _ -> None)
-    a b
-
-let check_cse (dom : Dom.t) (f : func) : func =
-  let n = Array.length f.fblocks in
-  let checked = Array.make f.fnregs false in
-  Array.iter
-    (fun blk ->
-      List.iter
-        (function
-          | (Check _ | CheckFptr _) as i ->
-              iter_ops (function Reg r -> checked.(r) <- true | _ -> ()) i
-          | _ -> ())
-        blk.insts)
-    f.fblocks;
-  let transfer_inst = transfer_inst checked in
-  (* [None] is the optimistic top element (not yet computed); the meet
-     ignores top predecessors, which is what makes back edges converge
-     from above. *)
-  let out = Array.make n None in
+(** Block-entry states of a forward must-analysis, by reverse-postorder
+    iteration to a fixpoint.  The entry block starts from [entry]; any
+    other block from the [meet] of its previous entry state and of its
+    predecessors' exit states computed so far.  [None], the optimistic
+    top, is skipped, which is what lets back edges converge from above;
+    meeting with the previous entry state makes entry states only
+    descend, which bounds the iteration even where [transfer] is not
+    monotone.  [transfer b s] is the exit state of block [b] entered in
+    [s]; it must not mutate [s].  Unreachable blocks get [None]. *)
+let forward (dom : Dom.t) ~(entry : 'a) ~(meet : 'a -> 'a -> 'a)
+    ~(equal : 'a -> 'a -> bool) ~(transfer : int -> 'a -> 'a) :
+    int -> 'a option =
+  let n = Array.length dom.Dom.preds in
+  let inn = Array.make n None and out = Array.make n None in
   let in_of b =
-    if b = 0 then Some FM.empty
+    if b = 0 then Some entry
     else
       List.fold_left
         (fun acc p ->
-          match out.(p) with
-          | None -> acc
-          | Some m -> (
-              match acc with None -> Some m | Some a -> Some (meet a m)))
-        None dom.Dom.preds.(b)
+          match (out.(p), acc) with
+          | None, _ -> acc
+          | Some m, None -> Some m
+          | Some m, Some a -> Some (meet a m))
+        inn.(b) dom.Dom.preds.(b)
   in
   let changed = ref true in
   while !changed do
@@ -988,40 +951,383 @@ let check_cse (dom : Dom.t) (f : func) : func =
       (fun b ->
         match in_of b with
         | None -> ()
-        | Some m ->
-            let m' = List.fold_left transfer_inst m f.fblocks.(b).insts in
+        | Some s ->
             let same =
-              match out.(b) with
-              | Some prev -> FM.equal Int.equal prev m'
-              | None -> false
+              match inn.(b) with Some s' -> equal s s' | None -> false
             in
             if not same then begin
-              out.(b) <- Some m';
+              inn.(b) <- Some s;
+              out.(b) <- Some (transfer b s);
               changed := true
             end)
       dom.Dom.rpo
   done;
-  let rewrite b blk =
-    match if Dom.reachable dom b then in_of b else None with
-    | None -> blk
-    | Some m0 ->
-        let _, rev =
-          List.fold_left
-            (fun (m, acc) inst ->
-              match inst with
-              | Check (p, b_, e, w, _) -> (
-                  match FM.find_opt (FCheck (p, b_, e)) m with
-                  | Some w' when w' >= w -> (m, acc)
-                  | _ -> (transfer_inst m inst, inst :: acc))
-              | CheckFptr (p, b_, e, h, _) ->
-                  if FM.mem (FFptr (p, b_, e, h)) m then (m, acc)
-                  else (transfer_inst m inst, inst :: acc)
-              | _ -> (transfer_inst m inst, inst :: acc))
-            (m0, []) blk.insts
-        in
-        { blk with insts = List.rev rev }
+  fun b -> if Dom.reachable dom b then inn.(b) else None
+
+let rec mem_int (x : int) = function
+  | [] -> false
+  | y :: l -> x = y || mem_int x l
+
+(** Equality of two int-array states, without polymorphic compare. *)
+let same_ints (a : int array) (b : int array) =
+  let rec go i = i < 0 || (a.(i) = b.(i) && go (i - 1)) in
+  Array.length a = Array.length b && go (Array.length a - 1)
+
+(* ------------------------------------------------------------------ *)
+(* check-cse, check-vn: available-checks dataflow and elimination       *)
+(* ------------------------------------------------------------------ *)
+
+(* A check reads nothing but registers, so whether it passes is a
+   function of its three operand values; a [Check] whose (ptr, base,
+   bound) values equal those of a check that already ran on every path,
+   at no smaller width, is redundant.  The two passes differ only in
+   what "equal values" means.  [check-cse] compares register names.
+   [check-vn] first numbers values: a forward must-dataflow maps each
+   register a check depends on to a term over the current contents of
+   other registers.
+
+   - [gep x + c], a 64-bit [add x, c] and a 64-bit [mov] are the root
+     of [x] plus a constant byte offset, folded, so [gep (gep x + 4) + 8]
+     equals [gep x + 12].  Offsets fold only at 64 bits: an [i32] add
+     wraps, and folding through it would equate different values.
+   - Any other pure integer instruction ([gep x + y], [Bin], [Cmp],
+     [Cast], a narrow [mov], [Slotaddr]) is a structural term over its
+     operands' values.
+   - Anything else ([Load], a call, [MetaLoad]) and any disagreement at
+     a join leaves a register as its own root, [VReg r].
+
+   A term is valid while none of the registers it mentions is
+   redefined, so a definition resets every value and kills every check
+   fact that mentions its register.  The values are computed first, as
+   their own fixpoint; the available-checks facts are then computed
+   with the block-entry values held fixed.  Only registers a check
+   reads, closed backwards through pure definitions, are numbered.
+   All tables are local to the call. *)
+
+type vterm =
+  | VReg of reg  (** current content of a register: a root *)
+  | VOp of operand  (** an immediate, global, global end or function *)
+  | VSlot of int
+  | VOff of int * int  (** root value + non-zero byte offset, 64-bit *)
+  | VBin of binop * ity * int * int
+  | VCmp of cmpop * ity * int * int
+  | VCast of ity * ity * int
+  | VGep of int * int
+
+module VT = Hashtbl.Make (struct
+  type t = vterm
+
+  let equal (a : t) (b : t) =
+    match (a, b) with
+    | VReg x, VReg y | VSlot x, VSlot y -> x = y
+    | VOp x, VOp y -> equal_operand x y
+    | VOff (a, k), VOff (b, k') -> a = b && k = k'
+    | VBin (o, t, a, c), VBin (o', t', b, d) ->
+        o = o' && t = t' && a = b && c = d
+    | VCmp (o, t, a, c), VCmp (o', t', b, d) ->
+        o = o' && t = t' && a = b && c = d
+    | VCast (t1, t2, a), VCast (t1', t2', b) -> t1 = t1' && t2 = t2' && a = b
+    | VGep (a, c), VGep (b, d) -> a = b && c = d
+    | _ -> false
+
+  let hash = Hashtbl.hash
+end)
+
+let check_cse ~vn (dom : Dom.t) (f : func) : func =
+  let n = f.fnregs in
+  (* [feeds.(r)]: the registers [r]'s pure definitions read *)
+  let feeds = Array.make n [] and numbered = Array.make n false in
+  let rel = ref [] and work = ref [] in
+  let number r =
+    if not numbered.(r) then begin
+      numbered.(r) <- true;
+      rel := r :: !rel;
+      work := r :: !work
+    end
   in
-  { f with fblocks = Array.mapi rewrite f.fblocks }
+  (* [global.(r)]: some block reads [r] before writing it, so a value of
+     [r] can flow from one block into another *)
+  let global = Array.make n false and written = Array.make n (-1) in
+  let any_check = ref false in
+  Array.iteri
+    (fun b blk ->
+      let read r = if written.(r) <> b then global.(r) <- true in
+      List.iter
+        (fun inst ->
+          (match inst with
+          | Check _ | CheckFptr _ ->
+              any_check := true;
+              if vn then iter_reads number inst
+          | Mov _ | Bin _ | Cmp _ | Cast _ | Gep _ | Slotaddr _ when vn ->
+              let r = def1 inst in
+              iter_reads (fun x -> feeds.(r) <- x :: feeds.(r)) inst
+          | _ -> ());
+          if vn then begin
+            iter_reads read inst;
+            iter_defs (fun r -> written.(r) <- b) inst
+          end)
+        blk.insts;
+      if vn then iter_term_reads read blk.term)
+    f.fblocks;
+  while !work <> [] do
+    let r = List.hd !work in
+    work := List.tl !work;
+    List.iter number feeds.(r)
+  done;
+  (* [slot.(r)]: index of a numbered register, the [ng] global ones
+     first: only they are carried from block to block *)
+  let slot = Array.make n (-1) and nrel = ref 0 in
+  let place keep =
+    List.iter
+      (fun r ->
+        if keep r then begin
+          slot.(r) <- !nrel;
+          incr nrel
+        end)
+      !rel
+  in
+  place (fun r -> global.(r));
+  let ng = !nrel in
+  place (fun r -> not global.(r));
+  (* with nothing numbered, check-vn would redo check-cse's work *)
+  if (not !any_check) || (vn && !nrel = 0) then f
+  else
+    let nrel = !nrel in
+    (* hash-consed terms: id -> term, id -> registers it mentions *)
+    let ids = VT.create 64 in
+    let terms = ref [||] and mentions = ref [||] in
+    (* [users.(x)]: the numbered registers whose value may mention [x] *)
+    let users = Array.make n [] and seen = Array.make n (-1) in
+    Array.iteri
+      (fun r i ->
+        let rec visit x =
+          if seen.(x) <> i then begin
+            seen.(x) <- i;
+            users.(x) <- i :: users.(x);
+            List.iter visit feeds.(x)
+          end
+        in
+        if i >= 0 then List.iter visit feeds.(r))
+      slot;
+    let union a b =
+      List.fold_left
+        (fun acc r -> if mem_int r acc then acc else r :: acc)
+        !mentions.(a) !mentions.(b)
+    in
+    let intern t =
+      match VT.find_opt ids t with
+      | Some id -> id
+      | None ->
+          let id = VT.length ids in
+          if id = Array.length !terms then begin
+            let grow a x = Array.append a (Array.make (max 16 id) x) in
+            terms := grow !terms t;
+            mentions := grow !mentions []
+          end;
+          !terms.(id) <- t;
+          !mentions.(id) <-
+            (match t with
+            | VReg r -> [ r ]
+            | VOp _ | VSlot _ -> []
+            | VOff (a, _) | VCast (_, _, a) -> !mentions.(a)
+            | VBin (_, _, a, b) | VCmp (_, _, a, b) | VGep (a, b) -> union a b);
+          VT.add ids t id;
+          id
+    in
+    (* a value state maps each global numbered register to a term id,
+       -1 standing for the register itself; the other numbered registers
+       live in [loc] for one pass over a block, current when stamped
+       with that pass's number *)
+    let nloc = nrel - ng in
+    let loc = Array.make nloc (-1) and stamp = Array.make nloc (-1) in
+    let pass = ref 0 in
+    let get st i =
+      if i < ng then st.(i)
+      else if stamp.(i - ng) = !pass then loc.(i - ng)
+      else -1
+    in
+    let set st i v =
+      if i < ng then st.(i) <- v
+      else begin
+        stamp.(i - ng) <- !pass;
+        loc.(i - ng) <- v
+      end
+    in
+    let root = Array.make n (-1) in
+    let value st = function
+      | Reg r ->
+          let i = slot.(r) in
+          let v = if i >= 0 then get st i else -1 in
+          if v >= 0 then v
+          else begin
+            if root.(r) < 0 then root.(r) <- intern (VReg r);
+            root.(r)
+          end
+      | op -> intern (VOp op)
+    in
+    let const v = match !terms.(v) with VOp (ImmI c) -> Some c | _ -> None in
+    let offset v k =
+      let root, k0 =
+        match !terms.(v) with VOff (r, k0) -> (r, k0) | _ -> (v, 0)
+      in
+      if k0 + k = 0 then root else intern (VOff (root, k0 + k))
+    in
+    let sum va vb make =
+      match (const va, const vb) with
+      | _, Some c -> offset va c
+      | Some c, _ -> offset vb c
+      | None, None -> intern make
+    in
+    let int_ty ty = not (ity_is_float ty) in
+    (* the value an instruction gives its destination, or -1 *)
+    let def_value st inst =
+      let v = value st in
+      match inst with
+      | Gep (_, a, b, _) ->
+          let va = v a and vb = v b in
+          sum va vb (VGep (va, vb))
+      | Bin (_, Add, ty, a, b) when wide ty ->
+          let va = v a and vb = v b in
+          sum va vb (VBin (Add, ty, va, vb))
+      | Bin (_, op, ty, a, b) when int_ty ty -> intern (VBin (op, ty, v a, v b))
+      | Mov (_, ty, o) when wide ty -> v o
+      | Mov (_, ty, o) when int_ty ty -> intern (VCast (ty, ty, v o))
+      | Cmp (_, op, ty, a, b) when int_ty ty -> intern (VCmp (op, ty, v a, v b))
+      | Cast (_, t1, t2, o) when int_ty t1 && int_ty t2 ->
+          intern (VCast (t1, t2, v o))
+      | Slotaddr (_, s) -> intern (VSlot s)
+      | _ -> -1
+    in
+    let kill st x =
+      List.iter
+        (fun i ->
+          let v = get st i in
+          if v >= 0 && mem_int x !mentions.(v) then set st i (-1))
+        users.(x)
+    in
+    let vstep st inst =
+      let r = def1 inst in
+      if r >= 0 && slot.(r) >= 0 then begin
+        let v = def_value st inst in
+        kill st r;
+        set st slot.(r)
+          (if v >= 0 && not (mem_int r !mentions.(v)) then v else -1)
+      end
+      else
+        iter_defs
+          (fun d ->
+            kill st d;
+            if slot.(d) >= 0 then set st slot.(d) (-1))
+          inst
+    in
+    (* the operand values of each check, as the last pass over its block
+       saw them: with the block-entry values at their fixpoint *)
+    let operands =
+      Array.map (fun blk -> Array.make (List.length blk.insts) [||]) f.fblocks
+    in
+    let scan b st =
+      incr pass;
+      List.iteri
+        (fun i inst ->
+          match inst with
+          | Check (p, b_, e, _, _) | CheckFptr (p, b_, e, _, _) ->
+              operands.(b).(i) <- [| value st p; value st b_; value st e |]
+          | _ -> vstep st inst)
+        f.fblocks.(b).insts
+    in
+    (if nrel = 0 then
+       Array.iteri
+         (fun b _ -> if Dom.reachable dom b then scan b [||])
+         f.fblocks
+     else
+       let (_ : int -> _ option) =
+         forward dom ~entry:(Array.make ng (-1))
+           ~meet:(Array.map2 (fun (a : int) b -> if a = b then a else -1))
+           ~equal:same_ints
+           ~transfer:(fun b s ->
+             let st = Array.copy s in
+             scan b st;
+             st)
+       in
+       ());
+    (* fact ids: one per distinct check key; [gen] is each instruction's
+       (fact, width), [kills.(r)] the facts a redefinition of [r] kills *)
+    let facts = Hashtbl.create 16 and nf = ref 0 and dup = ref false in
+    let kills = Array.make n [] in
+    let fact key =
+      match Hashtbl.find_opt facts key with
+      | Some id ->
+          dup := true;
+          id
+      | None ->
+          let id = !nf in
+          incr nf;
+          Hashtbl.add facts key id;
+          Array.iter
+            (fun v ->
+              List.iter (fun r -> kills.(r) <- id :: kills.(r)) !mentions.(v))
+            (fst key);
+          id
+    in
+    let gen =
+      Array.mapi
+        (fun b blk ->
+          Array.of_list
+            (List.mapi
+               (fun i inst ->
+                 let vs = operands.(b).(i) in
+                 if Array.length vs = 0 then (-1, 0)
+                 else
+                   match inst with
+                   | Check (_, _, _, w, _) -> (fact (vs, None), w)
+                   | CheckFptr (_, _, _, h, _) -> (fact (vs, Some h), 0)
+                   | _ -> (-1, 0))
+               blk.insts))
+        f.fblocks
+    in
+    if not !dup then f
+    else
+      (* a fact's state is the largest width every path has checked it
+         at; -1 is unavailable *)
+      let fstep st g inst =
+        match g with
+        | id, w when id >= 0 -> if w > st.(id) then st.(id) <- w
+        | _ ->
+            iter_defs
+              (fun d -> List.iter (fun k -> st.(k) <- -1) kills.(d))
+              inst
+      in
+      let avail =
+        forward dom ~entry:(Array.make !nf (-1))
+          ~meet:(Array.map2 (fun (a : int) b -> if a < b then a else b))
+          ~equal:same_ints
+          ~transfer:(fun b s ->
+            let st = Array.copy s in
+            List.iteri
+              (fun i inst -> fstep st gen.(b).(i) inst)
+              f.fblocks.(b).insts;
+            st)
+      in
+      let rewrite b blk =
+        match avail b with
+        | None -> blk
+        | Some s ->
+            let st = Array.copy s in
+            let kept =
+              List.filteri
+                (fun i inst ->
+                  let ((id, w) as g) = gen.(b).(i) in
+                  if id >= 0 && st.(id) >= w then false
+                  else begin
+                    fstep st g inst;
+                    true
+                  end)
+                blk.insts
+            in
+            if List.compare_lengths kept blk.insts = 0 then blk
+            else { blk with insts = kept }
+      in
+      { f with fblocks = Array.mapi rewrite f.fblocks }
 
 (* ------------------------------------------------------------------ *)
 (* copy-coalesce, copy-prop, dead-meta: metadata copy cleanup          *)
@@ -1069,29 +1375,6 @@ module Bits = struct
       dst.(k) <- dst.(k) lor src.(k)
     done
 end
-
-let iter_reads (k : reg -> unit) (i : inst) =
-  iter_ops (function Reg r -> k r | _ -> ()) i
-
-let iter_term_reads (k : reg -> unit) (t : terminator) =
-  List.iter (function Reg r -> k r | _ -> ()) (term_ops t)
-
-(** The register a single-destination instruction writes, or -1. *)
-let def1 = function
-  | Mov (r, _, _) | Bin (r, _, _, _, _) | Cmp (r, _, _, _, _)
-  | Cast (r, _, _, _) | Load (r, _, _) | Gep (r, _, _, _) | Slotaddr (r, _) ->
-      r
-  | _ -> -1
-
-let iter_defs (k : reg -> unit) (i : inst) =
-  match i with
-  | Call { rets; _ } -> List.iter k rets
-  | MetaLoad (a, b, _, _) ->
-      k a;
-      k b
-  | _ ->
-      let r = def1 i in
-      if r >= 0 then k r
 
 let rename_def (t : reg) (d : reg) (inst : inst) : inst =
   let rn r = if r = t then d else r in
@@ -1188,8 +1471,8 @@ let coalesce_copies ~meta_floor (f : func) : func =
     { f with fblocks = Array.map block f.fblocks }
 
 (** copy-prop: forward available-copies dataflow over the wide [Mov]s
-    into metadata registers, with the intersection meet of
-    {!check_cse}.  A fact [d = s] dies when [d] or [s] is redefined;
+    into metadata registers, on {!forward} with the intersection meet.
+    A fact [d = s] dies when [d] or [s] is redefined;
     while it holds, [s] replaces every read of [d] (transitively,
     through facts on [s]). *)
 let propagate_copies ~meta_floor (dom : Dom.t) (f : func) : func =
@@ -1231,20 +1514,6 @@ let propagate_copies ~meta_floor (dom : Dom.t) (f : func) : func =
       iter_defs (fun r -> Bits.remove_all set kills.(r)) inst;
       if g >= 0 then Bits.add set g
     in
-    let out = Array.make (Array.length f.fblocks) None in
-    let in_of b =
-      if b = 0 then Some (Bits.create nf)
-      else
-        List.fold_left
-          (fun acc p ->
-            match (out.(p), acc) with
-            | None, _ -> acc
-            | Some m, None -> Some (Array.copy m)
-            | Some m, (Some a as acc) ->
-                Bits.inter_into a m;
-                acc)
-          None dom.Dom.preds.(b)
-    in
     (* each block's facts generated and killed, so the fixpoint below
        walks blocks, not instructions *)
     let summary b blk =
@@ -1261,24 +1530,17 @@ let propagate_copies ~meta_floor (dom : Dom.t) (f : func) : func =
       (g, k)
     in
     let summaries = Array.mapi summary f.fblocks in
-    let changed = ref true in
-    while !changed do
-      changed := false;
-      Array.iter
-        (fun b ->
-          match in_of b with
-          | None -> ()
-          | Some set ->
-              let g, k = summaries.(b) in
-              for w = 0 to Array.length set - 1 do
-                set.(w) <- set.(w) land lnot k.(w) lor g.(w)
-              done;
-              if out.(b) <> Some set then begin
-                out.(b) <- Some set;
-                changed := true
-              end)
-        dom.Dom.rpo
-    done;
+    let in_of =
+      forward dom ~entry:(Bits.create nf)
+        ~meet:(fun a b ->
+          let a = Array.copy a in
+          Bits.inter_into a b;
+          a)
+        ~equal:same_ints
+        ~transfer:(fun b set ->
+          let g, k = summaries.(b) in
+          Array.mapi (fun w s -> s land lnot k.(w) lor g.(w)) set)
+    in
     let copied set r =
       if r < meta_floor then None
       else List.find_opt (fun (_, id) -> Bits.mem set id) on.(r)
@@ -1292,9 +1554,10 @@ let propagate_copies ~meta_floor (dom : Dom.t) (f : func) : func =
       | _ -> op
     in
     let rewrite b blk =
-      match if Dom.reachable dom b then in_of b else None with
+      match in_of b with
       | None -> blk
       | Some set ->
+          let set = Array.copy set in
           let sub = resolve set nf in
           let hit = ref false in
           let read r = if copied set r <> None then hit := true in
@@ -1420,7 +1683,7 @@ let dead_meta ~meta_floor (dom : Dom.t) (f : func) : func =
     passes that keep the CFG (every one after widening). *)
 type env = { meta_floor : int; dom : Dom.t Lazy.t }
 
-type gate = Always | Widen | Cleanup
+type gate = Always | Widen | Cleanup | Values
 
 type pass = {
   name : string;
@@ -1438,7 +1701,8 @@ let passes =
     pass "widen" Widen ~keeps_cfg:false (fun _ -> widen_loops);
     pass "coalesce" Widen (fun _ -> coalesce_blocks);
     pass "metaload-cse" Always (fun _ -> local_metaload_cse);
-    pass "check-cse" Always (fun e -> check_cse (dom e));
+    pass "check-cse" Always (fun e -> check_cse ~vn:false (dom e));
+    pass "check-vn" Values (fun e -> check_cse ~vn:true (dom e));
     pass "copy-coalesce" Cleanup (fun e ->
         coalesce_copies ~meta_floor:(floor e));
     pass "copy-prop" Cleanup (fun e ->
@@ -1446,19 +1710,40 @@ let passes =
     pass "dead-meta" Cleanup (fun e -> dead_meta ~meta_floor:(floor e) (dom e));
   ]
 
-let elim_func ~(meta_floor : int) ?(widen = true) ?(cleanup = true) (f : func)
-    : func =
-  let cleanup = cleanup && not (may_call_setjmp f) in
-  let on = function Always -> true | Widen -> widen | Cleanup -> cleanup in
-  let analyze f = { meta_floor; dom = lazy (Dom.compute f) } in
-  fst
-    (List.fold_left
-       (fun (f, env) p ->
-         if not (on p.gate) then (f, env)
-         else
-           let f = p.run env f in
-           (f, if p.keeps_cfg then env else analyze f))
-       (f, analyze f) passes)
+let pass_names = List.map (fun p -> p.name) passes
+
+let size (f : func) =
+  Array.fold_left (fun acc blk -> acc + List.length blk.insts) 0 f.fblocks
+
+let elim_func ~(meta_floor : int) ?(widen = true) ?(cleanup = true)
+    ?(value_numbering = true) ?record (f : func) : func =
+  (* the longjmp edge back into a function that calls setjmp is missing
+     from its CFG, so no dataflow over it is sound *)
+  if may_call_setjmp f then f
+  else
+    let on = function
+      | Always -> true
+      | Widen -> widen
+      | Cleanup -> cleanup
+      | Values -> value_numbering
+    in
+    let analyze f = { meta_floor; dom = lazy (Dom.compute f) } in
+    let run p env f =
+      match record with
+      | None -> p.run env f
+      | Some k ->
+          let f' = p.run env f in
+          k p.name (size f - size f');
+          f'
+    in
+    fst
+      (List.fold_left
+         (fun (f, env) p ->
+           if not (on p.gate) then (f, env)
+           else
+             let f = run p env f in
+             (f, if p.keeps_cfg then env else analyze f))
+         (f, analyze f) passes)
 
 (** Static instrumentation census, for tests and reporting. *)
 let count_insts (p : inst -> bool) (f : func) : int =

@@ -19,6 +19,13 @@
     - [check-cse]: a forward available-checks dataflow that drops a
       [Check] reached by an identical dominating check of at least its
       width with no intervening redefinition;
+    - [check-vn]: the same, comparing the {e values} of the operands
+      rather than their registers — a forward must-dataflow numbers each
+      register a check reads as a term over other registers' current
+      contents, with [gep x + c] and 64-bit adds folded to a root plus
+      a byte offset — so the load and the store of [p[k] = p[k] + 1],
+      whose addresses lowering derives into two registers, need one
+      check;
     - [copy-coalesce]: a metadata temp defined once and copied once, in
       one block, is defined straight into the copy's destination;
     - [copy-prop]: a forward available-copies dataflow replaces each
@@ -30,7 +37,8 @@
     one that already ran, a hoisted check aborts exactly when its first
     in-loop execution would have, and a span traps — at the same
     address, site and message — exactly when some covered original
-    check would have.  The last three passes, the {e copy cleanup},
+    check would have.  Check-cse and check-vn remove checks and nothing
+    else.  The last three passes, the {e copy cleanup},
     read and write only registers the transformation introduced and
     delete only pure register instructions, so the memory trace is
     unchanged and the cycle count can only go down (DESIGN.md section
@@ -45,7 +53,13 @@
 module Ir = Sbir.Ir
 
 val elim_func :
-  meta_floor:int -> ?widen:bool -> ?cleanup:bool -> Ir.func -> Ir.func
+  meta_floor:int ->
+  ?widen:bool ->
+  ?cleanup:bool ->
+  ?value_numbering:bool ->
+  ?record:(string -> int -> unit) ->
+  Ir.func ->
+  Ir.func
 (** Optimize one instrumented function.  [meta_floor] is the function's
     register count {e before} instrumentation: registers at or above it
     were introduced by the transformation, which is how the pass tells
@@ -53,9 +67,19 @@ val elim_func :
     cleanup touches) from program computation (hoisted only as a
     dependency of hoisted instrumentation, keeping the overhead
     comparison against the uninstrumented baseline fair).  [cleanup]
-    (default on) runs the copy cleanup; tests turn it off to compare.
-    It is skipped in a function that may call [setjmp], whose [longjmp]
-    edges the CFG does not show. *)
+    (default on) runs the copy cleanup and [value_numbering] (default
+    on) the [check-vn] pass; tests turn them off to compare.  [record]
+    is told, after each sub-pass that runs, its name and the number of
+    static instructions it removed (negative when it added some, as
+    widening's trip-count arithmetic does).
+
+    A function that may call [setjmp] ({!Sbir.Ir.may_call_setjmp}) is
+    returned unchanged: [longjmp] resumes after the [setjmp] call with
+    registers the CFG does not show flowing there, so no sub-pass's
+    dataflow is sound in it. *)
+
+val pass_names : string list
+(** The sub-passes of {!elim_func}, in the order they run. *)
 
 val count_checks : Ir.func -> int
 (** Static number of [Check]/[CheckFptr] instructions, for tests. *)

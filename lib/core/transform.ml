@@ -551,17 +551,70 @@ let global_extent (m : modul) : string -> int option =
   List.iter (fun g -> Hashtbl.replace sizes g.gname g.gsize) m.mglobals;
   Hashtbl.find_opt sizes
 
+(** Does [m] take [setjmp]'s address: a [Func "setjmp"] operand
+    anywhere but a direct callee, or a global initialized with it? *)
+let takes_setjmp (m : modul) : bool =
+  let found = ref false in
+  let see = function Func "setjmp" -> found := true | _ -> () in
+  iter_funcs m (fun f ->
+      Array.iter
+        (fun b ->
+          List.iter
+            (function
+              | Call { args; _ } -> List.iter see args
+              | inst -> iter_inst_operands see inst)
+            b.insts;
+          ignore
+            (map_term_operands
+               (fun o ->
+                 see o;
+                 o)
+               b.term))
+        f.fblocks);
+  !found
+  || List.exists
+       (fun g -> List.exists (fun (_, v) -> v = GFuncAddr "setjmp") g.ginit)
+       m.mglobals
+
+(** Give every indirect call {!Ir.no_setjmp_hint} when [m] never takes
+    [setjmp]'s address, so {!Ir.may_call_setjmp} holds only where
+    [setjmp] can run.  Done before {!Sbir.Range} and {!Elim} look at the
+    module, whether or not elimination is on. *)
+let mark_indirect_calls (m : modul) : modul =
+  let unmarked = function
+    | Call { callee = Func _; _ } -> false
+    | Call { hints; _ } -> not (List.mem no_setjmp_hint hints)
+    | _ -> false
+  in
+  let has f = Array.exists (fun b -> List.exists unmarked b.insts) f.fblocks in
+  if
+    takes_setjmp m
+    || not (Hashtbl.fold (fun _ f acc -> acc || has f) m.mfuncs false)
+  then m
+  else
+    let mark = function
+      | Call c as inst when unmarked inst ->
+          Call { c with hints = no_setjmp_hint :: c.hints }
+      | inst -> inst
+    in
+    map_funcs m (fun f ->
+        if not (has f) then f
+        else
+          let mark_block b = { b with insts = List.map mark b.insts } in
+          { f with fblocks = Array.map mark_block f.fblocks })
+
 (** Transform and also report how many instrumentation sites were
     assigned.  Site ids are handed out during emission — before the
     optional elimination pass prunes anything — so the count (and each
     surviving instruction's id) is identical across [eliminate_checks]
     settings; observers compute elided sites as assigned-minus-surviving. *)
-let transform_with_sites ?(discharge = true) ?(opts = Config.default)
+let transform_with_sites ?(discharge = true) ?(opts = Config.default) ?record
     (m : modul) : modul * int =
   (* an instrumented module may hold no instrumentation instruction (all
      of its accesses discharged), but it always holds the initializer *)
   if Hashtbl.mem m.mfuncs global_init_name then
     invalid_arg "Transform: module already instrumented";
+  let m = mark_indirect_calls m in
   let extent = global_extent m in
   let defined = Hashtbl.create 64 in
   List.iter (fun n -> Hashtbl.replace defined n ()) m.mfunc_order;
@@ -577,7 +630,7 @@ let transform_with_sites ?(discharge = true) ?(opts = Config.default)
         let f =
           if opts.Config.eliminate_checks then
             Elim.elim_func ~meta_floor:f0.fnregs
-              ~widen:opts.Config.widen_checks f
+              ~widen:opts.Config.widen_checks ?record f
           else f
         in
         Hashtbl.replace mfuncs f.fname f;
@@ -600,7 +653,23 @@ let transform_with_sites ?(discharge = true) ?(opts = Config.default)
 let transform ?discharge ?opts (m : modul) : modul =
   fst (transform_with_sites ?discharge ?opts m)
 
+(** The static instructions each {!Elim} sub-pass removes from [m]
+    under [opts], summed over its functions, in {!Elim.pass_names}
+    order (all zero when elimination is off). *)
+let pass_stats ?(opts = Config.default) (m : modul) : (string * int) list =
+  let counts = Hashtbl.create 16 in
+  let record name k =
+    Hashtbl.replace counts name
+      (k + Option.value ~default:0 (Hashtbl.find_opt counts name))
+  in
+  ignore (transform_with_sites ~opts ~record m);
+  List.map
+    (fun name ->
+      (name, Option.value ~default:0 (Hashtbl.find_opt counts name)))
+    Elim.pass_names
+
 let count_discharged ?(opts = Config.default) (m : modul) : int =
+  let m = mark_indirect_calls m in
   let extent = global_extent m in
   let n = ref 0 in
   iter_funcs m (fun f ->

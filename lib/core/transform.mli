@@ -31,14 +31,30 @@ val transform :
     to compare. *)
 
 val transform_with_sites :
-  ?discharge:bool -> ?opts:Config.options -> Ir.modul -> Ir.modul * int
+  ?discharge:bool ->
+  ?opts:Config.options ->
+  ?record:(string -> int -> unit) ->
+  Ir.modul ->
+  Ir.modul * int
 (** Like {!transform}, additionally returning the number of
     instrumentation sites assigned.  Site ids ([1..n], stamped on
     [Check]/[CheckFptr]/[MetaLoad]/[MetaStore]) are handed out in
     emission order before any elimination runs, so the numbering — and
     this count — is identical whether [eliminate_checks] is on or off;
     elided sites are exactly the assigned ids missing from the returned
-    module.  A discharged access uses up its site id too. *)
+    module.  A discharged access uses up its site id too.  [record]
+    is passed to {!Elim.elim_func} for every function.
+
+    Before anything else, every indirect call of a module that never
+    takes [setjmp]'s address gets {!Sbir.Ir.no_setjmp_hint}, so the
+    static discharge and {!Elim} skip only functions where [setjmp] can
+    run. *)
+
+val pass_stats : ?opts:Config.options -> Ir.modul -> (string * int) list
+(** The number of static instructions each {!Elim} sub-pass removes
+    from the module under [opts], summed over its functions, for every
+    name of {!Elim.pass_names} in order.  Widening adds trip-count
+    arithmetic, so its entry can be negative. *)
 
 val count_discharged : ?opts:Config.options -> Ir.modul -> int
 (** How many accesses of an uninstrumented module {!transform} would

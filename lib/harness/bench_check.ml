@@ -76,13 +76,19 @@ let check_elim file obj =
   each_row file obj "kernels" (fun ctx row ->
       nums file ctx row []
         [ "base_cycles"; "checks_widened"; "checks_coalesced";
-          "checks_discharged" ];
+          "checks_discharged"; "checks_value_numbered" ];
+      nums file ctx row [ "elim_passes" ] Softbound.Elim.pass_names;
       (* the static discharge must reach the masked and guarded indexing
-         of these two kernels *)
-      (match (field row "name", field row "checks_discharged") with
-      | Some (Str ("compress" | "go" as k)), Some (Num n) when n <= 0.0 ->
-          bad file (Printf.sprintf "%s%s: checks_discharged is %g" ctx k n)
-      | _ -> ());
+         of these two kernels, and value numbering the re-derived field
+         and index addresses of these two *)
+      let positive key names =
+        match (field row "name", field row key) with
+        | Some (Str k), Some (Num n) when List.mem k names && n <= 0.0 ->
+            bad file (Printf.sprintf "%s%s: %s is %g" ctx k key n)
+        | _ -> ()
+      in
+      positive "checks_discharged" [ "compress"; "go" ];
+      positive "checks_value_numbered" [ "bisort"; "libquantum" ];
       nums file ctx row [ "checks" ] variants;
       nums file ctx row [ "meta_loads" ] [ "on"; "off" ];
       List.iter

@@ -28,6 +28,8 @@ type row = {
   discharged : int;
       (** static accesses proven in bounds at instrumentation time,
           shadow/full *)
+  passes : (string * int) list;
+      (** static instructions each Elim sub-pass removed, shadow/full *)
 }
 
 let run (m : Matrix.t) : row list =
@@ -51,7 +53,12 @@ let run (m : Matrix.t) : row list =
         coalesced = count Softbound.Elim.count_coalesced;
         discharged =
           Softbound.Transform.count_discharged ~opts:Runner.sb_full_shadow src;
+        passes = Softbound.Transform.pass_stats ~opts:Runner.sb_full_shadow src;
       })
+
+(** Checks the [check-vn] sub-pass removed: equal by value to a check
+    that already ran, though not by register name. *)
+let value_numbered r = List.assoc "check-vn" r.passes
 
 let run_of r stem key = List.assoc key (List.assoc stem r.configs)
 let ov r stem key = Matrix.overhead ~base:r.base (run_of r stem key)
@@ -77,7 +84,8 @@ let render (rows : row list) : string =
     (Texttable.render
        ~headers:
          [ "benchmark"; "shadow/full on"; "no-widen"; "shadow/full off";
-           "saved"; "checks on/nw/off"; "widened"; "coalesced"; "discharged" ]
+           "saved"; "checks on/nw/off"; "widened"; "coalesced"; "discharged";
+           "value-numbered" ]
        (List.map
           (fun r ->
             let ov = ov r "shadow-full" in
@@ -93,6 +101,7 @@ let render (rows : row list) : string =
               Printf.sprintf "%d" r.widened;
               Printf.sprintf "%d" r.coalesced;
               Printf.sprintf "%d" r.discharged;
+              Printf.sprintf "%d" (value_numbered r);
             ])
           rows));
   let gm stem key = Texttable.pct (geomean_ov stem key rows) in
@@ -141,6 +150,8 @@ let to_json (rows : row list) : Json.t =
           ("checks_widened", int r.widened);
           ("checks_coalesced", int r.coalesced);
           ("checks_discharged", int r.discharged);
+          ("checks_value_numbered", int (value_numbered r));
+          ("elim_passes", Obj (List.map (fun (n, k) -> (n, int k)) r.passes));
         ])
   in
   let geo stem =

@@ -20,6 +20,9 @@ type t = {
   coalesced : int;
       (** static count of per-iteration checks folded into in-block
           coalesced spans (members beyond the first) *)
+  passes : (string * int) list;
+      (** static instructions each Elim sub-pass removed, in pass order;
+          empty with elimination off *)
   base : Interp.Vm.result option;  (** unprotected baseline run *)
   result : Interp.Vm.result;  (** the instrumented run *)
 }
@@ -42,6 +45,10 @@ let profile ?(label = "program") ?(opts = Softbound.Config.default)
     sites = Obs.sites_of_modul m';
     widened = !widened;
     coalesced = !coalesced;
+    passes =
+      (if opts.Softbound.Config.eliminate_checks then
+         Softbound.Transform.pass_stats ~opts m
+       else []);
     base;
     result;
   }
@@ -116,9 +123,13 @@ let render ?(top = 10) (p : t) : string =
   add "sites: %d assigned, %d surviving, %d elided by Elim\n"
     p.sites_assigned surviving
     (p.sites_assigned - surviving);
-  if p.opts.Softbound.Config.eliminate_checks then
+  if p.opts.Softbound.Config.eliminate_checks then begin
     add "widening: %d checks_widened, %d checks_coalesced\n" p.widened
       p.coalesced;
+    add "elim passes (static instructions removed): %s\n"
+      (String.concat ", "
+         (List.map (fun (n, k) -> Printf.sprintf "%s %d" n k) p.passes))
+  end;
   add "\nper-kind dynamic counts (site-attributed + runtime):\n";
   List.iter
     (fun k ->
@@ -161,7 +172,7 @@ let render ?(top = 10) (p : t) : string =
   end;
   let wr = Obs.wrapper_stats o in
   if wr <> [] then begin
-    add "\nwrapper calls (inclusive cycle deltas):\n";
+    add "\nwrapper calls (cycles of their checks and metadata operations):\n";
     List.iter
       (fun (n, c, cy) -> add "  %-24s %8d calls  %12d cycles\n" n c cy)
       wr
@@ -210,6 +221,9 @@ let to_json (p : t) : string =
     (p.sites_assigned - surviving);
   add "  \"widening\": { \"checks_widened\": %d, \"checks_coalesced\": %d },\n"
     p.widened p.coalesced;
+  add "  \"elim_passes\": { %s },\n"
+    (String.concat ", "
+       (List.map (fun (n, k) -> Printf.sprintf "\"%s\": %d" n k) p.passes));
   add "  \"kinds\": {\n";
   List.iteri
     (fun i k ->

@@ -1015,16 +1015,13 @@ and dispatch_resolved ld ~name ~argvals ~rets (r : resolution) : unit =
             raise (Trap (Runtime_error ("call to undefined function " ^ name)))
       in
       if checked && st.cfg.obs_enabled then begin
-        (* attribute the wrapper's whole cycle delta (including its
-           internal site-0 metadata traffic) to the wrapper by name; the
-           context makes site-0 operations "wrapper-attributed" rather
-           than unattributable *)
-        let prev = Obs.set_wrapper st.obs (Some name) in
-        let cy0 = st.stats.cycles in
+        (* the context charges the wrapper's site-0 checks and metadata
+           operations to it by name: what the checked call costs beyond
+           the same builtin unprotected *)
+        let prev = Obs.enter_wrapper st.obs name in
         Fun.protect
           ~finally:(fun () ->
             Obs.restore_wrapper st.obs prev;
-            Obs.record_wrapper st.obs name ~cycles:(st.stats.cycles - cy0);
             if Obs.trace_on st.obs then
               Obs.trace_event st.obs (Obs.E_wrapper { name }))
           go

@@ -302,6 +302,34 @@ let map_inst_operands (f : operand -> operand) (inst : inst) : inst =
           sp_bound = f sp.sp_bound;
         }
 
+(** Apply [k] to every operand of an instruction, in order. *)
+let iter_inst_operands (k : operand -> unit) (i : inst) : unit =
+  match i with
+  | Mov (_, _, o) | Cast (_, _, _, o) | Load (_, _, o)
+  | MetaLoad (_, _, o, _) ->
+      k o
+  | Bin (_, _, _, a, b)
+  | Cmp (_, _, _, a, b)
+  | Store (_, a, b)
+  | Gep (_, a, b, _)
+  | SetBoundMark (a, b) ->
+      k a;
+      k b
+  | Slotaddr _ -> ()
+  | Call { callee; args; _ } ->
+      k callee;
+      List.iter k args
+  | Check (p, b, e, _, _) | CheckFptr (p, b, e, _, _)
+  | MetaStore (p, b, e, _) ->
+      k p;
+      k b;
+      k e
+  | CheckSpan { sp_first; sp_count; sp_base; sp_bound; _ } ->
+      k sp_first;
+      k sp_count;
+      k sp_base;
+      k sp_bound
+
 let map_term_operands (f : operand -> operand) (t : terminator) : terminator =
   match t with
   | TRet ops -> TRet (List.map f ops)
@@ -321,17 +349,23 @@ let defs_of (i : inst) : reg list =
   | CheckSpan _ ->
       []
 
+(** Call hint on an indirect call that cannot reach [setjmp]: the
+    transformation sets it on every indirect call of a module that never
+    takes [setjmp]'s address. *)
+let no_setjmp_hint = "no-setjmp"
+
 (** Can a call of [f] be [setjmp] (named so, or [_sb_setjmp] once
-    instrumented)?  Any indirect call may be.  [longjmp] resumes after
-    that call with the registers as they were at the jump, an edge the
-    CFG does not show, so dataflow over [fblocks] must skip [f]. *)
+    instrumented)?  An indirect call may be, unless it carries
+    {!no_setjmp_hint}.  [longjmp] resumes after that call with the
+    registers as they were at the jump, an edge the CFG does not show,
+    so dataflow over [fblocks] must skip [f]. *)
 let may_call_setjmp (f : func) : bool =
   Array.exists
     (fun b ->
       List.exists
         (function
           | Call { callee = Func g; _ } -> g = "setjmp" || g = "_sb_setjmp"
-          | Call _ -> true
+          | Call { hints; _ } -> not (List.mem no_setjmp_hint hints)
           | _ -> false)
         b.insts)
     f.fblocks

@@ -12,7 +12,10 @@
    any elimination runs; id 0 means "runtime-originated" (wrapper
    internals, allocator bookkeeping).  Operations at site 0 that execute
    inside a known wrapper are attributed to that wrapper's name, so the
-   unattributable residue is only the VM's own bookkeeping. *)
+   unattributable residue is only the VM's own bookkeeping.  A wrapper's
+   cycles are those of the checks and metadata operations it runs: the
+   work a checked call does beyond what the same builtin does
+   unprotected (the library work itself is charged in both runs). *)
 
 module Ir = Sbir.Ir
 module L = Machine.Layout
@@ -133,8 +136,8 @@ type t = {
   mutable counts : int array array;  (* [kind].[site] *)
   mutable cycles : int array array;
   wrappers : (string, wrapper_stat) Hashtbl.t;
-  mutable in_wrapper : string option;
-      (** name of the [_sb_] wrapper currently executing, if any; site-0
+  mutable in_wrapper : wrapper_stat option;
+      (** bucket of the [_sb_] wrapper currently executing, if any; site-0
           operations inside it are attributed to the wrapper *)
   (* attribution tallies over every recorded check/meta operation *)
   mutable attr_site : int;
@@ -198,11 +201,17 @@ let record_op t kind ~site ~cycles =
     if site > 0 then t.attr_site <- t.attr_site + 1
     else
       match t.in_wrapper with
-      | Some _ -> t.attr_wrapper <- t.attr_wrapper + 1
+      | Some ws ->
+          t.attr_wrapper <- t.attr_wrapper + 1;
+          ws.w_cycles <- ws.w_cycles + cycles
       | None -> t.attr_runtime <- t.attr_runtime + 1
   end
 
-let record_wrapper t name ~cycles =
+(** Count a call of wrapper [name] and make it the context of the
+    site-0 operations that follow, until {!restore_wrapper} with the
+    returned previous context. *)
+let enter_wrapper t name =
+  let prev = t.in_wrapper in
   if t.enabled then begin
     let ws =
       match Hashtbl.find_opt t.wrappers name with
@@ -213,12 +222,8 @@ let record_wrapper t name ~cycles =
           ws
     in
     ws.w_count <- ws.w_count + 1;
-    ws.w_cycles <- ws.w_cycles + cycles
-  end
-
-let set_wrapper t name =
-  let prev = t.in_wrapper in
-  if t.enabled then t.in_wrapper <- name;
+    t.in_wrapper <- Some ws
+  end;
   prev
 
 let restore_wrapper t prev = if t.enabled then t.in_wrapper <- prev

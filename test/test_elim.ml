@@ -123,9 +123,10 @@ let widen_agrees (index, eng, fac) =
    dead-meta passes) ---- *)
 
 (** Instrument with elimination off, then run [Elim.elim_func] on each
-    function with the cleanup on or off — what [Transform] does, with
-    the cleanup's test-only switch exposed. *)
-let with_cleanup ~cleanup opts (m : Sbir.Ir.modul) : Sbir.Ir.modul =
+    function with the cleanup and value numbering on or off — what
+    [Transform] does, with the two test-only switches exposed. *)
+let with_elim ?(cleanup = true) ?(value_numbering = true) opts
+    (m : Sbir.Ir.modul) : Sbir.Ir.modul =
   let mt =
     Softbound.Transform.transform
       ~opts:{ opts with Softbound.Config.eliminate_checks = false }
@@ -136,7 +137,7 @@ let with_cleanup ~cleanup opts (m : Sbir.Ir.modul) : Sbir.Ir.modul =
       let name = Softbound.Transform.sb_name f0.Sbir.Ir.fname in
       Hashtbl.replace mfuncs name
         (Softbound.Elim.elim_func ~meta_floor:f0.Sbir.Ir.fnregs
-           ~widen:opts.Softbound.Config.widen_checks ~cleanup
+           ~widen:opts.Softbound.Config.widen_checks ~cleanup ~value_numbering
            (Hashtbl.find mfuncs name)));
   { mt with Sbir.Ir.mfuncs }
 
@@ -189,11 +190,12 @@ let static_insts (m : Sbir.Ir.modul) =
         acc f.Sbir.Ir.fblocks)
     m.Sbir.Ir.mfuncs 0
 
-(** Run [m] with the cleanup on and off under [opts] and [cfg] and
-    compare everything observable; [None] when they agree. *)
-let cleanup_disagrees ?(cfg = obs_cfg) opts (m0 : Sbir.Ir.modul) =
-  let m_on = with_cleanup ~cleanup:true opts m0
-  and m_off = with_cleanup ~cleanup:false opts m0 in
+(** Run [m_on] and [m_off] under [opts] and [cfg] and compare everything
+    observable: outcome (with the trap message), stdout, trap site,
+    heap, metadata operations, and dynamic checks by [checks]; the
+    cycles of [m_on] must not exceed those of [m_off].  [None] when
+    they agree. *)
+let runs_disagree ?(cfg = obs_cfg) ~checks opts m_on m_off =
   let run m = Interp.Engine.run ~cfg:(Softbound.vm_config ~cfg opts) m in
   let a = run m_on and b = run m_off in
   let sa = a.Interp.Vm.stats and sb = b.Interp.Vm.stats in
@@ -205,14 +207,16 @@ let cleanup_disagrees ?(cfg = obs_cfg) opts (m0 : Sbir.Ir.modul) =
   let site = function None -> "-" | Some s -> int s in
   List.find_map Fun.id
     [
-      (if program_view m0 m_on = program_view m0 m_off then None
-       else Some "cleanup changed a non-metadata instruction");
       differ "outcome" (out a) (out b);
       differ "stdout" a.Interp.Vm.stdout_text b.Interp.Vm.stdout_text;
       differ "trap site" (site (fail_site a)) (site (fail_site b));
       differ "heap_live" (int a.Interp.Vm.heap_live)
         (int b.Interp.Vm.heap_live);
-      differ "checks" (int sa.Interp.State.checks) (int sb.Interp.State.checks);
+      (if checks sa.Interp.State.checks sb.Interp.State.checks then None
+       else
+         Some
+           (Printf.sprintf "checks: %d vs %d" sa.Interp.State.checks
+              sb.Interp.State.checks));
       differ "meta_loads" (int sa.Interp.State.meta_loads)
         (int sb.Interp.State.meta_loads);
       differ "meta_stores" (int sa.Interp.State.meta_stores)
@@ -220,9 +224,24 @@ let cleanup_disagrees ?(cfg = obs_cfg) opts (m0 : Sbir.Ir.modul) =
       (if sa.Interp.State.cycles <= sb.Interp.State.cycles then None
        else
          Some
-           (Printf.sprintf "cleanup costs cycles (%d > %d)"
-              sa.Interp.State.cycles sb.Interp.State.cycles));
+           (Printf.sprintf "on costs cycles (%d > %d)" sa.Interp.State.cycles
+              sb.Interp.State.cycles));
     ]
+
+(** The cleanup on and off: only metadata instructions differ, and runs
+    agree with the same dynamic checks. *)
+let cleanup_disagrees ?cfg opts (m0 : Sbir.Ir.modul) =
+  let m_on = with_elim ~cleanup:true opts m0
+  and m_off = with_elim ~cleanup:false opts m0 in
+  if program_view m0 m_on <> program_view m0 m_off then
+    Some "cleanup changed a non-metadata instruction"
+  else runs_disagree ?cfg ~checks:( = ) opts m_on m_off
+
+(** Value numbering ([check-vn]) on and off: runs agree, with no more
+    dynamic checks on than off. *)
+let vn_disagrees ?cfg opts (m0 : Sbir.Ir.modul) =
+  runs_disagree ?cfg ~checks:( <= ) opts (with_elim opts m0)
+    (with_elim ~value_numbering:false opts m0)
 
 (** A one-block function over [nregs] registers, for hand-built IR. *)
 let one_block_func ~nregs insts : Sbir.Ir.func =
@@ -242,6 +261,112 @@ let cleaned ~meta_floor f =
   (Softbound.Elim.elim_func ~meta_floor f).Sbir.Ir.fblocks.(0).Sbir.Ir.insts
 
 let cleanup_oracle_size = 500
+
+(** Static checks left in a hand-built function by Elim with value
+    numbering on, then off. *)
+let vn_checks (f : Sbir.Ir.func) =
+  List.map
+    (fun value_numbering ->
+      Softbound.Elim.count_checks
+        (Softbound.Elim.elim_func ~meta_floor:f.Sbir.Ir.fnregs
+           ~value_numbering f))
+    [ true; false ]
+
+(** Hand-built functions for value numbering, with the static checks
+    Elim keeps in each with value numbering on and off. *)
+let vn_cases =
+  let open Sbir.Ir in
+  let chk r site = Check (Reg r, ImmI 0, ImmI 4096, 4, site) in
+  [
+    ( "64-bit offsets fold",
+      one_block_func ~nregs:4
+        [
+          Load (0, P, ImmI 64);
+          Gep (1, Reg 0, ImmI 4, None);
+          Gep (2, Reg 1, ImmI 8, None);
+          chk 2 1;
+          Gep (3, Reg 0, ImmI 12, None);
+          chk 3 2;
+        ],
+      [ 1; 2 ] );
+    (* [%1 = %0 + 4] goes stale when [%0] is reloaded: it must not match
+       the [%0 + 4] computed afterwards *)
+    ( "a redefined root ends a value",
+      one_block_func ~nregs:3
+        [
+          Load (0, P, ImmI 64);
+          Gep (1, Reg 0, ImmI 4, None);
+          Load (0, P, ImmI 72);
+          Gep (2, Reg 0, ImmI 4, None);
+          chk 2 1;
+          chk 1 2;
+        ],
+      [ 2; 2 ] );
+    (* the check of the old [%0 + 4] must not cover the new one *)
+    ( "a redefined root ends a fact",
+      one_block_func ~nregs:3
+        [
+          Load (0, P, ImmI 64);
+          Gep (1, Reg 0, ImmI 4, None);
+          chk 1 1;
+          Load (0, P, ImmI 72);
+          Gep (2, Reg 0, ImmI 4, None);
+          chk 2 2;
+        ],
+      [ 2; 2 ] );
+    (* [x +i32 1] wraps where [x +i64 1] does not *)
+    ( "an i32 add is not an offset",
+      one_block_func ~nregs:3
+        [
+          Load (0, I64, ImmI 64);
+          Bin (1, Add, I32, Reg 0, ImmI 1);
+          Check (Reg 1, ImmI 0, ImmI 4096, 1, 1);
+          Bin (2, Add, I64, Reg 0, ImmI 1);
+          Check (Reg 2, ImmI 0, ImmI 4096, 1, 2);
+        ],
+      [ 2; 2 ] );
+  ]
+
+(* A check of [p[0]] before [setjmp] must not stand for the one after
+   the [longjmp], which sees [p + 1000]; with and without a join
+   before it (without one, [p] is a copy value numbering sees through). *)
+let setjmp_srcs =
+  List.map
+    (Printf.sprintf
+       "jmp_buf env; \
+        void g(void) { longjmp(env, 1); } \
+        int main(int argc, char **argv) { \
+        int *p = (int*)malloc(4 * sizeof(int)); int x; \
+        %s \
+        p[0] = x; \
+        if (setjmp(env) == 0) { p = p + 1000; g(); } \
+        else { p[0] = 7; printf(\"wrote\\n\"); } \
+        return 0; }")
+    [ "if (argc > 5) x = 1; else x = 2;"; "x = 2;" ]
+
+(* An indirect call, and with [take] a module that also takes
+   [setjmp]'s address. *)
+let fptr_src ~take =
+  Printf.sprintf
+    "int twice(int x) { return 2 * x; } \
+     int thrice(int x) { return 3 * x; } \
+     void *sj; \
+     int main(int argc, char **argv) { \
+     int (*f)(int) = thrice; int *p = (int*)malloc(16); %s \
+     if (argc > 5) f = twice; \
+     p[1] = f(3); p[1] = p[1] + 1; printf(\"%%d\\n\", p[1]); return 0; }"
+    (if take then "sj = (void*)setjmp;" else "")
+
+(* [p[k] = p[k] + 1] and [n->visits += 1] re-derive the same address
+   into a fresh register for the store. *)
+let rmw_src =
+  "struct node { int v; int visits; }; \
+   int main(void) { int *p = (int*)malloc(100 * sizeof(int)); \
+   struct node *n = (struct node*)malloc(sizeof(struct node)); int i; int k; \
+   n->visits = 0; for (i = 0; i < 100; i++) p[i] = 0; \
+   for (i = 0; i < 1000; i++) { k = (i * 7) % 100; p[k] = p[k] + 1; \
+   n->visits = n->visits + 1; } \
+   printf(\"%d %d\\n\", p[3], n->visits); return 0; }"
 
 (* Read-modify-write accesses produce back-to-back identical checks
    (the load's and the store's), which the available-checks CSE merges;
@@ -475,8 +600,8 @@ let suite =
            printf(\"%d\\n\", s); return 0; }"
         in
         let m0 = Softbound.compile src in
-        let m_on = with_cleanup ~cleanup:true on m0
-        and m_off = with_cleanup ~cleanup:false on m0 in
+        let m_on = with_elim ~cleanup:true on m0
+        and m_off = with_elim ~cleanup:false on m0 in
         Alcotest.(check bool) "fewer static instructions" true
           (static_insts m_on < static_insts m_off);
         Alcotest.(check bool) "identical composed pipeline" true
@@ -578,8 +703,8 @@ let suite =
         Alcotest.(check string) "p[8] is inside b" "1\n"
           r.Interp.Vm.stdout_text;
         Alcotest.(check string) "main untouched"
-          (Sbir.Pretty_ir.dump_module (with_cleanup ~cleanup:false on m0))
-          (Sbir.Pretty_ir.dump_module (with_cleanup ~cleanup:true on m0));
+          (Sbir.Pretty_ir.dump_module (with_elim ~cleanup:false on m0))
+          (Sbir.Pretty_ir.dump_module (with_elim ~cleanup:true on m0));
         match cleanup_disagrees on m0 with
         | None -> ()
         | Some why -> Alcotest.fail why);
@@ -606,6 +731,96 @@ let suite =
           let cfg = { obs_cfg with Interp.State.engine } in
           let m0 = Softbound.compile src in
           (match cleanup_disagrees ~cfg opts m0 with
+          | None -> ()
+          | Some why -> Alcotest.failf "program %d: %s\n%s" index why src);
+          if case.Fuzz.Gen.expect <> Fuzz.Gen.Safe then incr trapped
+        done;
+        if !trapped * 5 < cleanup_oracle_size then
+          Alcotest.failf "only %d of %d programs carry an injected violation"
+            !trapped cleanup_oracle_size);
+    (* ---------------- setjmp ---------------- *)
+    tc "setjmp: no check fact survives a longjmp (both engines, shadow \
+        and hash)" (fun () ->
+        (* [p[0] = 7] after the longjmp reads [p + 1000]; on the CFG it
+           looks covered by the check of [p[0] = x] *)
+        List.iter
+          (fun ((engine, facility), src) ->
+            let m0 = Softbound.compile src in
+            let r =
+              Softbound.run_protected
+                ~opts:{ on with Softbound.Config.facility }
+                ~cfg:{ Interp.State.default_config with Interp.State.engine }
+                m0
+            in
+            Alcotest.(check bool) "detected" true (Softbound.detected r);
+            Alcotest.(check string) "nothing written" "" r.stdout_text)
+          (List.concat_map
+             (fun point -> List.map (fun src -> (point, src)) setjmp_srcs)
+             [
+               (Interp.State.Eng_closure, Softbound.Config.Shadow_space);
+               (Interp.State.Eng_closure, Softbound.Config.Hash_table);
+               (Interp.State.Eng_decode, Softbound.Config.Shadow_space);
+               (Interp.State.Eng_decode, Softbound.Config.Hash_table);
+             ]));
+    tc "setjmp: indirect calls block Elim only where setjmp can run"
+      (fun () ->
+        let main_of src =
+          let m = Softbound.instrument (Softbound.compile src) in
+          Option.get (Sbir.Ir.find_func m "_sb_main")
+        in
+        let fp = main_of (fptr_src ~take:false) in
+        Alcotest.(check bool) "no setjmp in reach" false
+          (Sbir.Ir.may_call_setjmp fp);
+        let taken = main_of (fptr_src ~take:true) in
+        Alcotest.(check bool) "setjmp's address taken" true
+          (Sbir.Ir.may_call_setjmp taken);
+        Alcotest.(check bool) "Elim ran only without it" true
+          (Softbound.Elim.count_checks fp
+          < Softbound.Elim.count_checks taken));
+
+    (* ---------------- value numbering (check-vn) ---------------- *)
+    tc "check-vn: a read-modify-write through re-derived addresses keeps \
+        one check" (fun () ->
+        let m0 = Softbound.compile rmw_src in
+        let static m =
+          Hashtbl.fold
+            (fun _ f n -> n + Softbound.Elim.count_checks f)
+            m.Sbir.Ir.mfuncs 0
+        in
+        let on_ = static (with_elim on m0)
+        and off_ = static (with_elim ~value_numbering:false on m0) in
+        Alcotest.(check bool)
+          (Printf.sprintf "fewer static checks (%d < %d)" on_ off_)
+          true (on_ < off_);
+        match vn_disagrees on m0 with
+        | None -> ()
+        | Some why -> Alcotest.fail why);
+    tc "check-vn: hand-built cases keep the expected checks" (fun () ->
+        List.iter
+          (fun (name, f, kept) ->
+            Alcotest.(check (list int)) name kept (vn_checks f))
+          vn_cases);
+    tc
+      (Printf.sprintf
+         "check-vn on/off agree on %d generated programs (outcome, stdout, \
+          trap site, heap, metadata ops; checks and cycles on <= off)"
+         cleanup_oracle_size)
+      (fun () ->
+        let trapped = ref 0 in
+        for index = 0 to cleanup_oracle_size - 1 do
+          let case = Fuzz.case_of ~seed:6007 ~index in
+          let src = Cminus.Pretty.program_string case.Fuzz.Gen.prog in
+          let engine =
+            if index mod 2 = 0 then Interp.State.Eng_closure
+            else Interp.State.Eng_decode
+          in
+          let facility =
+            if index / 2 mod 2 = 0 then Softbound.Config.Shadow_space
+            else Softbound.Config.Hash_table
+          in
+          let opts = { on with Softbound.Config.facility } in
+          let cfg = { obs_cfg with Interp.State.engine } in
+          (match vn_disagrees ~cfg opts (Softbound.compile src) with
           | None -> ()
           | Some why -> Alcotest.failf "program %d: %s\n%s" index why src);
           if case.Fuzz.Gen.expect <> Fuzz.Gen.Safe then incr trapped

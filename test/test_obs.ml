@@ -110,6 +110,20 @@ let suite =
     tc "obs off: simulated results identical (hash, both engines)" (fun () ->
         List.iter (fun engine -> same_simulation ~engine loopy full_hash)
           engines);
+    tc "breakdown: a wrapper costs only its checks and metadata" (fun () ->
+        (* [_sb_sqrt] does what [sqrt] does unprotected, and nothing more *)
+        let p =
+          Harness.Profile.profile ~label:"sqrt"
+            (Softbound.compile
+               "int main(void) { double s = 0.0; int i; \
+                for (i = 0; i < 1000; i++) s = s + sqrt((double)i); \
+                return (int)s % 7; }")
+        in
+        Alcotest.(check int) "wrapper" 0 (Harness.Profile.wrapper_cycles p);
+        Alcotest.(check (list (triple string int int)))
+          "the calls are still counted"
+          [ ("_sb_sqrt", 1000, 0) ]
+          (Obs.wrapper_stats p.Harness.Profile.result.Interp.Vm.obs));
     tc "attribution: >=95% on every workload, both engines" (fun () ->
         List.iter
           (fun engine ->
